@@ -84,6 +84,10 @@ def cmd_verify(args) -> int:
 def cmd_braiding(args) -> int:
     ctx = _context(args)
     i, j = (int(x) for x in args.factors.split(","))
+    rank = ctx.datum.rank
+    for k in (i, j):
+        if not 1 <= k <= rank:
+            raise ValueError(f"fundamental index {k} is outside 1..{rank}")
     table = ctx.braiding(i, j)
     rows = []
     for (x, y), out in sorted(table.items(), key=lambda kv: (element_str(kv[0][0]),

@@ -556,9 +556,8 @@ class CrystalContext:
         """B(lam), realized inside the sorted product of fundamentals."""
         lam = self.weight(lam)
         if lam.coords not in self._weight_crystals:
-            comp = self.cartan_of(self.fundamental_indices(lam))
-            comp.name = f"B{lam.coords}"
-            self._weight_crystals[lam.coords] = comp
+            self._weight_crystals[lam.coords] = self.cartan_of(
+                self.fundamental_indices(lam))
         return self._weight_crystals[lam.coords]
 
     def rho_crystal(self) -> Crystal:

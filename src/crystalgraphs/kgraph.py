@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iterproduct
 
-from .crystal import CrystalContext, canonical_isomorphism, extremal_element
+from .crystal import CrystalContext, extremal_element
 from .graphs import ColoredDigraph, Edge
-from .rightends import in_cartan_component, right_end_chain, right_end_tuple
+from .rightends import (apply_plan, braid_plan, in_cartan_component,
+                        right_end_chain, right_end_tuple, sorting_word)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -41,7 +42,7 @@ class KGraph:
         self._weyl_labels: dict[tuple, WeylElement] | None = None
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
-        self._compose_isos: dict[tuple, dict] = {}
+        self._compose_plans: dict[tuple, tuple] = {}
 
     # -- vertices -----------------------------------------------------------
 
@@ -128,32 +129,35 @@ class KGraph:
 
     # -- composition ----------------------------------------------------------
 
-    def _compose_iso(self, deg1: tuple, deg2: tuple) -> dict:
-        key = (deg1, deg2)
-        if key not in self._compose_isos:
-            funds_cat = (self.ctx.fundamental_indices(self.ctx.weight(deg1))
-                         + self.ctx.fundamental_indices(self.ctx.weight(deg2)))
-            total = self.ctx.weight(tuple(a + b for a, b in zip(deg1, deg2)))
-            if not funds_cat:
-                self._compose_isos[key] = {(): ()}
-            else:
-                comp = self.ctx.cartan_of(funds_cat)
-                self._compose_isos[key] = canonical_isomorphism(
-                    comp, self.ctx.weight_crystal(total))
-        return self._compose_isos[key]
+    def _compose_plan(self, deg1: tuple, deg2: tuple) -> tuple:
+        """(braid plan, target crystal, degree) for composing deg1 with deg2.
+
+        The plan sorts funds(deg1) + funds(deg2) by adjacent braidings.  Each
+        braiding is the canonical isomorphism between Cartan components, so
+        the plan maps the Cartan component of the product onto the sorted
+        realization of B(deg1 + deg2) and takes every other element to 0 or
+        outside that realization.
+        """
+        funds = (self.ctx.fundamental_indices(deg1)
+                 + self.ctx.fundamental_indices(deg2))
+        degree = tuple(a + b for a, b in zip(deg1, deg2))
+        return (braid_plan(self.ctx, funds, sorting_word(funds)),
+                self.ctx.weight_crystal(degree), degree)
 
     def compose(self, p: KPath, q: KPath) -> KPath:
         """(p, q) -> (range p, projection of b_p (x) b_q); needs s(p) = r(q)."""
         if self.source(p) != q.vertex:
             raise ValueError("paths are not composable: source(p) != range(q)")
-        elem_cat = p.element + q.element
-        iso = self._compose_iso(p.degree, q.degree)
-        if elem_cat not in iso:
+        key = (p.degree, q.degree)
+        if key not in self._compose_plans:
+            self._compose_plans[key] = self._compose_plan(p.degree, q.degree)
+        plan, target, degree = self._compose_plans[key]
+        elem = apply_plan(plan, p.element + q.element)
+        if elem is None or elem not in target:
             raise RuntimeError(
                 f"{p} and {q} are composable but their product left the "
                 "Cartan component")
-        degree = tuple(a + b for a, b in zip(p.degree, q.degree))
-        return KPath(p.vertex, iso[elem_cat], degree)
+        return KPath(p.vertex, elem, degree)
 
     # -- enumeration ------------------------------------------------------------
 

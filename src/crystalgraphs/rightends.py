@@ -2,7 +2,10 @@
 
 Elements of highest weight crystals are flat tuples in a product of
 fundamental crystals, so every computation below reduces to the cached
-pairwise braiding tables between fundamentals.  The inclusion realization
+pairwise braiding tables between fundamentals.  A positional braid word is
+built once per factor list as a plan (`braid_plan`) and applied to elements
+by `apply_plan`; `apply_chain` keeps its own loop, because right ends call it
+far more often than anything else.  The inclusion realization
 B(lam) -> B(lam - mu) (x) B(mu) is also provided; it serves as an independent
 second route for the same values.
 """
@@ -32,6 +35,51 @@ def apply_chain(ctx: CrystalContext, funds, elem, k: int):
         elem[pos], elem[pos + 1] = out
         funds[pos], funds[pos + 1] = j, i
     return tuple(funds), tuple(elem)
+
+
+def sorting_word(funds) -> tuple[int, ...]:
+    """Positions (0-based) of the stable adjacent-swap sort of funds.
+
+    Applied in order, the swaps put the factor list in increasing order and
+    never exchange two equal indices.
+    """
+    funds = list(funds)
+    word = []
+    for k in range(1, len(funds)):
+        pos = k
+        while pos > 0 and funds[pos - 1] > funds[pos]:
+            funds[pos - 1], funds[pos] = funds[pos], funds[pos - 1]
+            pos -= 1
+            word.append(pos)
+    return tuple(word)
+
+
+def braid_plan(ctx: CrystalContext, funds, positions) -> tuple:
+    """The steps (pos, table) of a positional braid word on a factor list.
+
+    The letter pos (0-based) braids the factors at pos and pos + 1 with the
+    fundamental table of the indices standing there when the letter is read.
+    A plan depends on the factor list only, so it can be built once and
+    applied to every element by `apply_plan`.
+    """
+    funds = list(funds)
+    steps = []
+    for pos in positions:
+        i, j = funds[pos], funds[pos + 1]
+        steps.append((pos, ctx.braiding(i, j)))
+        funds[pos], funds[pos + 1] = j, i
+    return tuple(steps)
+
+
+def apply_plan(plan, elem):
+    """Apply the steps of a braid plan to an element; None as soon as one gives 0."""
+    elem = list(elem)
+    for pos, table in plan:
+        out = table[(elem[pos], elem[pos + 1])]
+        if out is None:
+            return None
+        elem[pos], elem[pos + 1] = out
+    return tuple(elem)
 
 
 def right_end_chain(ctx: CrystalContext, funds, elem, k: int):

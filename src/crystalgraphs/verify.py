@@ -16,7 +16,8 @@ from .crystal import (Convention, CrystalContext, as_convention,
 from .embeddings import (count_weak_embeddings, embed_bruhat, embed_right_weak,
                          enumerate_compatible_colorings)
 from .kgraph import KGraph
-from .rightends import in_cartan_component, right_end_chain, right_end_tuple
+from .rightends import (apply_plan, braid_plan, in_cartan_component,
+                        right_end_chain, right_end_tuple)
 from .rootdata import builtin_datum, resolve_datum
 from .tableaux import (SkewTableau, Tableau, braid_columns, enumerate_ssyt,
                        from_crystal, is_key, left_key, right_ends_via_slides,
@@ -31,10 +32,15 @@ class Report:
     failures: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, fmt: str, *args) -> None:
+        """Count one check; on failure record `fmt % args` (`fmt` if no args).
+
+        The message is formatted only when the check fails, as in `logging`,
+        so passing checks never build the reprs of their arguments.
+        """
         self.instances_checked += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(fmt % args if args else fmt)
 
     @property
     def ok(self) -> bool:
@@ -55,25 +61,6 @@ def _lambdas(ctx) -> list:
     return out
 
 
-def _swap_at(ctx, funds, elem, pos):
-    i, j = funds[pos], funds[pos + 1]
-    out = ctx.braiding(i, j)[(elem[pos], elem[pos + 1])]
-    if out is None:
-        return None
-    funds = funds[:pos] + (j, i) + funds[pos + 2:]
-    elem = elem[:pos] + out + elem[pos + 2:]
-    return funds, elem
-
-
-def _braid_word(ctx, funds, elem, positions):
-    state = (funds, elem)
-    for pos in positions:
-        state = _swap_at(ctx, state[0], state[1], pos)
-        if state is None:
-            return None
-    return state
-
-
 # -- fixture suites -----------------------------------------------------------
 
 
@@ -90,7 +77,8 @@ def suite_a2_fixtures(**_config) -> Report:
         pair = fixtures.as_pair(row["in"])
         expected = None if row["out"] is None else fixtures.as_pair(row["out"])
         rep.check(table[pair] == expected,
-                  f"braiding({pair}) = {table[pair]}, expected {expected}")
+                  "braiding(%s) = %s, expected %s",
+                  pair, table[pair], expected)
     rep.check(len(table) == len(fx["pairs"]),
               "braiding table size differs from the nine listed pairs")
 
@@ -100,12 +88,12 @@ def suite_a2_fixtures(**_config) -> Report:
         straight = SkewTableau.from_rows(row["in"])
         moved = straight.reverse_slide((1, 1))
         rep.check(moved.rows_with_holes() == row["out"],
-                  f"slide of {row['in']} gave {moved.rows_with_holes()}")
+                  "slide of %s gave %s", row['in'], moved.rows_with_holes())
         cols = straight.columns()
         pair = (cols[1], cols[0])
         left, right = moved.columns()
         rep.check(braid_columns(*pair) == (right, left) == table[pair],
-                  f"column braiding disagrees at {pair}")
+                  "column braiding disagrees at %s", pair)
     rep.check(braid_columns((1,), (2, 3)) is None and table[((1,), (2, 3))] is None,
               "the zero value of the braiding is missing")
 
@@ -115,12 +103,14 @@ def suite_a2_fixtures(**_config) -> Report:
         elem = fixtures.as_pair(row["element"])
         ends = fixtures.as_pair(row["ends"])
         got = right_end_tuple(ctx, elem)
-        rep.check(got == ends, f"right ends of {elem} = {got}, expected {ends}")
+        rep.check(got == ends,
+                  "right ends of %s = %s, expected %s", elem, got, ends)
     rep.check(len(ctx.rho_crystal()) == len(fx["rows"]),
               "B(rho) has a different size than the eight listed elements")
 
     # vertices and the Weyl bijection
-    rep.check(len(kg.vertices()) == 6, f"vertex count {len(kg.vertices())} != 6")
+    rep.check(len(kg.vertices()) == 6,
+              "vertex count %s != 6", len(kg.vertices()))
     labels = [kg.weyl_label(v) for v in kg.vertices()]
     rep.check(all(w is not None for w in labels) and len(set(labels)) == 6,
               "vertices are not in bijection with the Weyl group")
@@ -149,7 +139,8 @@ def suite_a2_fixtures(**_config) -> Report:
         listed.add((p.vertex, p.element))
         src = kg.weyl_vertex(W.element_from_word(row["source"]))
         rep.check(kg.source(p) == src,
-                  f"source of ({row['range']}, {row['element']}) is not {row['source']}")
+                  "source of (%s, %s) is not %s",
+                  row['range'], row['element'], row['source'])
     actual = {(p.vertex, p.element) for p in kg.paths_of_degree(omega1)}
     rep.check(listed == actual and len(fx["rows"]) == 12,
               "the twelve listed paths do not exhaust the degree-w1 paths")
@@ -175,9 +166,12 @@ def suite_c2_fixtures(**_config) -> Report:
         src = fixtures.as_pair(row["src"])
         dst = fixtures.as_pair(row["dst"])
         got = rho.f(row["color"], src)
-        rep.check(got == dst, f"lowering {row['color']} at {src} gave {got}, not {dst}")
+        rep.check(got == dst,
+                  "lowering %s at %s gave %s, not %s",
+                  row['color'], src, got, dst)
     rep.check(edge_count == len(fx["edges"]),
-              f"B(rho) has {edge_count} lowering edges, expected {len(fx['edges'])}")
+              "B(rho) has %s lowering edges, expected %s",
+              edge_count, len(fx['edges']))
 
     # braiding table, including the implicit zeros
     table = ctx.braiding(1, 2)
@@ -188,7 +182,7 @@ def suite_c2_fixtures(**_config) -> Report:
     for pair, value in table.items():
         expected = nonzero.get(pair)
         rep.check(value == expected,
-                  f"braiding({pair}) = {value}, expected {expected}")
+                  "braiding(%s) = %s, expected %s", pair, value, expected)
 
     # right ends display
     fx = fixtures.load("c2_right_ends.json")
@@ -196,21 +190,25 @@ def suite_c2_fixtures(**_config) -> Report:
         elem = fixtures.as_pair(row["element"])
         ends = fixtures.as_pair(row["ends"])
         got = right_end_tuple(ctx, elem)
-        rep.check(got == ends, f"right ends of {elem} = {got}, expected {ends}")
+        rep.check(got == ends,
+                  "right ends of %s = %s, expected %s", elem, got, ends)
 
     # ten vertices, eight of them Weyl, two starred
     fx = fixtures.load("c2_weyl_vertices.json")
-    rep.check(len(kg.vertices()) == 10, f"vertex count {len(kg.vertices())} != 10")
+    rep.check(len(kg.vertices()) == 10,
+              "vertex count %s != 10", len(kg.vertices()))
     starred = 0
     for row in fx["rows"]:
         v = fixtures.as_pair(row["vertex"])
         label = kg.weyl_label(v)
         if row["label"] is None:
             starred += 1
-            rep.check(label is None, f"vertex {v} should be outside the Weyl image")
+            rep.check(label is None,
+                      "vertex %s should be outside the Weyl image", v)
         else:
             rep.check(label == W.element_from_word(row["label"]),
-                      f"vertex {v} has label {label}, expected {row['label']}")
+                      "vertex %s has label %s, expected %s",
+                      v, label, row['label'])
     rep.check(starred == 2 and len(fx["rows"]) == 10,
               "expected exactly two starred vertices among ten")
 
@@ -223,7 +221,8 @@ def suite_c2_fixtures(**_config) -> Report:
         if label is not None:
             agreements += 1
             rep.check(label == W.element_from_word(row["key"]),
-                      f"right end of {elem} is {label}, key says {row['key']}")
+                      "right end of %s is %s, key says %s",
+                      elem, label, row['key'])
     rep.details["extremal_key_agreements"] = agreements
     return rep
 
@@ -248,7 +247,7 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
 
     for p in paths:
         rep.check(kg.vertex_leq(kg.range(p), kg.source(p)),
-                  f"range of {p} is not below its source")
+                  "range of %s is not below its source", p)
 
     # representative independence of the path test and the source
     lam_list = kg.degrees_up_to(bound)
@@ -261,13 +260,15 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 for b in ctx.weight_crystal(lam).elements:
                     member = in_cartan_component(ctx, funds, c + b)
                     rep.check(member == kg.is_path(v, b, lam),
-                              f"path test at {v} depends on the representative {c}")
+                              "path test at %s depends on the representative "
+                              "%s", v, c)
                     if member:
                         p = kg.path(v, b, lam)
                         ends = tuple(right_end_chain(ctx, funds, c + b, i)
                                      for i in ctx.datum.indices)
                         rep.check(ends == kg.source(p),
-                                  f"source of {p} depends on the representative {c}")
+                                  "source of %s depends on the representative "
+                                  "%s", p, c)
 
     # unique factorization for every split of every enumerated path
     for p in paths:
@@ -279,7 +280,7 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 kg.factorization_check(p, m, n)
                 rep.check(True, "")
             except ValueError as exc:
-                rep.check(False, f"factorization {m}+{n} of {p}: {exc}")
+                rep.check(False, "factorization %s+%s of %s: %s", m, n, p, exc)
 
     # composition: associativity and degree additivity
     composable = []
@@ -290,9 +291,9 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
     for p, q in composable:
         pq = kg.compose(p, q)
         rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
-                  f"degree of {p} * {q} is not additive")
+                  "degree of %s * %s is not additive", p, q)
         rep.check(pq.vertex == p.vertex and kg.source(pq) == kg.source(q),
-                  f"endpoints of {p} * {q} are wrong")
+                  "endpoints of %s * %s are wrong", p, q)
     by_range: dict = {}
     for q in paths:
         by_range.setdefault(kg.range(q), []).append(q)
@@ -300,7 +301,8 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
         for r in by_range.get(kg.source(q), ()):
             left = kg.compose(kg.compose(p, q), r)
             right = kg.compose(p, kg.compose(q, r))
-            rep.check(left == right, f"associativity fails on {p}, {q}, {r}")
+            rep.check(left == right,
+                      "associativity fails on %s, %s, %s", p, q, r)
     return rep
 
 
@@ -317,18 +319,21 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
         rep.check(True, "")
         rep.details["right_weak_edges"] = len(emb.edge_map)
     except ValueError as exc:
-        rep.check(False, f"right weak embedding failed validation: {exc}")
+        rep.check(False, "right weak embedding failed validation: %s", exc)
 
     right_count = count_weak_embeddings(kg, side="right")
     rep.check(right_count == 1,
-              f"found {right_count} right weak embeddings, expected exactly 1")
+              "found %s right weak embeddings, expected exactly 1",
+              right_count)
     left_count = count_weak_embeddings(kg, side="left")
     rep.details["left_weak_embeddings"] = left_count
     if ctx.datum.rank == 1:
-        rep.check(left_count == 1, f"rank one should give 1, found {left_count}")
+        rep.check(left_count == 1,
+                  "rank one should give 1, found %s", left_count)
     elif ctx.datum.name == "A2":
         rep.check(left_count == 0,
-                  f"found {left_count} left weak embeddings for A2, expected 0")
+                  "found %s left weak embeddings for A2, expected 0",
+                  left_count)
 
     colorings = enumerate_compatible_colorings(kg, tuple(degree_bound))
     rep.details["compatible_colorings"] = len(colorings)
@@ -337,7 +342,7 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
             embed_bruhat(kg, coloring)
             rep.check(True, "")
         except ValueError as exc:
-            rep.check(False, f"Bruhat embedding failed: {exc}")
+            rep.check(False, "Bruhat embedding failed: %s", exc)
             break
 
     # skeleton edges defined by extremal elements of comparable pairs:
@@ -372,9 +377,9 @@ def suite_keys(**_config) -> Report:
     fx = fixtures.load("example_keys.json")
     tab = Tableau(fx["tableau"])
     rep.check(left_key(tab) == Tableau(fx["left_key"]),
-              f"left key of {tab} is {left_key(tab)}")
+              "left key of %s is %s", tab, left_key(tab))
     rep.check(right_key(tab) == Tableau(fx["right_key"]),
-              f"right key of {tab} is {right_key(tab)}")
+              "right key of %s is %s", tab, right_key(tab))
     for swaps, stages in ((fx["upper_swaps"], fx["stages"]["upper"]),
                           (fx["lower_swaps"], fx["stages"]["lower"])):
         cols = list(tab.columns)
@@ -382,15 +387,17 @@ def suite_keys(**_config) -> Report:
             pos = a - 1
             x, y = cols[pos + 1], cols[pos]
             out = braid_columns(x, y)
-            rep.check(out is not None, f"swap at {a} unexpectedly hit zero")
+            rep.check(out is not None, "swap at %s unexpectedly hit zero", a)
             cols[pos], cols[pos + 1] = out[1], out[0]
             skew = SkewTableau.from_columns(cols)
             rep.check(skew.rows_with_holes() == rows,
-                      f"stage after swap at {a} is {skew.rows_with_holes()}")
+                      "stage after swap at %s is %s",
+                      a, skew.rows_with_holes())
             rect = skew.rectify()
             rep.check(sorted(rect.column_lengths()) == sorted(len(c) for c in cols),
-                      f"stage after swap at {a} is not frank")
-            rep.check(rect == tab, f"stage after swap at {a} rectifies to {rect}")
+                      "stage after swap at %s is not frank", a)
+            rep.check(rect == tab,
+                      "stage after swap at %s rectifies to %s", a, rect)
 
     # keys are the fixed points of the key maps (A3 entries, shape (2, 1))
     census = enumerate_ssyt((2, 1), 4)
@@ -398,11 +405,11 @@ def suite_keys(**_config) -> Report:
     for t in census:
         kl, kr = left_key(t), right_key(t)
         rep.check(is_key(kl) and left_key(kl) == kl,
-                  f"left key of {t} is not a key fixed point")
+                  "left key of %s is not a key fixed point", t)
         rep.check(is_key(kr) and right_key(kr) == kr,
-                  f"right key of {t} is not a key fixed point")
+                  "right key of %s is not a key fixed point", t)
         rep.check((kl == t) == is_key(t) and (kr == t) == is_key(t),
-                  f"{t} disagrees with the key characterization")
+                  "%s disagrees with the key characterization", t)
 
     # right ends equal left-key columns on B(rho), and count the Weyl group
     for name in ("A2", "A3"):
@@ -416,14 +423,17 @@ def suite_keys(**_config) -> Report:
             ends = right_end_tuple(ctx, b)
             slid = right_ends_via_slides(tab)
             rep.check(slid == kl.columns,
-                      f"{name}: slide ends of {tab} differ from the left key")
+                      "%s: slide ends of %s differ from the left key",
+                      name, tab)
             rep.check(tuple(reversed(ends)) == slid,
-                      f"{name}: right ends of {b} differ from the left-key columns")
+                      "%s: right ends of %s differ from the left-key columns",
+                      name, b)
         order = 1
         for k in range(2, r + 2):
             order *= k
         rep.check(len(keys_seen) == order,
-                  f"{name}: {len(keys_seen)} distinct keys, expected {order}")
+                  "%s: %s distinct keys, expected %s",
+                  name, len(keys_seen), order)
         rep.details[f"{name}_distinct_keys"] = len(keys_seen)
     return rep
 
@@ -451,10 +461,12 @@ def suite_lemmas(**_config) -> Report:
                 for i in datum.indices:
                     if longer(i, w):
                         rep.check(B.epsilon(i, b) == 0,
-                                  f"{name}: epsilon_{i} at {w}, {lam} is nonzero")
+                                  "%s: epsilon_%s at %s, %s is nonzero",
+                                  name, i, w, lam)
                     else:
                         rep.check(B.phi(i, b) == 0,
-                                  f"{name}: phi_{i} at {w}, {lam} is nonzero")
+                                  "%s: phi_%s at %s, %s is nonzero",
+                                  name, i, w, lam)
 
         # lowering powers on pairs of extremal elements
         pair_product = {}
@@ -478,20 +490,24 @@ def suite_lemmas(**_config) -> Report:
                         cur = P.f(i, cur)
                         fb = B1.f(i, fb)
                         rep.check(cur == (fb, b2),
-                                  f"{name}: power {k} of lowering {i} strays "
-                                  f"from the first factor at {w}, {w2}")
+                                  "%s: power %s of lowering %s strays from "
+                                  "the first factor at %s, %s",
+                                  name, k, i, w, w2)
                     rep.check(cur == (weyl_action(B1, i, b), b2),
-                              f"{name}: reflection power mismatch at {w}, {w2}, {i}")
+                              "%s: reflection power mismatch at %s, %s, %s",
+                              name, w, w2, i)
                     fb2 = b2
                     for k in range(n + 1, n + n2 + 1):
                         cur = P.f(i, cur)
                         fb2 = B2.f(i, fb2)
                         rep.check(cur == (fb, fb2),
-                                  f"{name}: power {k} of lowering {i} strays "
-                                  f"from the second factor at {w}, {w2}")
+                                  "%s: power %s of lowering %s strays from "
+                                  "the second factor at %s, %s",
+                                  name, k, i, w, w2)
                     rep.check(weyl_action(P, i, (b, b2))
                               == (weyl_action(B1, i, b), weyl_action(B2, i, b2)),
-                              f"{name}: reflection is not diagonal at {w}, {w2}, {i}")
+                              "%s: reflection is not diagonal at %s, %s, %s",
+                              name, w, w2, i)
 
         # Bruhat-comparable pairs land in the Cartan component
         for lam, lam2 in iterproduct(lambdas, lambdas):
@@ -500,14 +516,16 @@ def suite_lemmas(**_config) -> Report:
                 if W.bruhat_leq(w2, w):
                     elem = ext[lam][w] + ext[lam2][w2]
                     rep.check(in_cartan_component(ctx, funds, elem),
-                              f"{name}: {w} >= {w2} pair left the Cartan component")
+                              "%s: %s >= %s pair left the Cartan component",
+                              name, w, w2)
 
         # and hence (vertex of w, extremal of w') is a path for every color
         for lam in lambdas:
             for w, w2 in iterproduct(W, W):
                 if W.bruhat_leq(w2, w):
                     rep.check(kg.is_path(kg.weyl_vertex(w), ext[lam][w2], lam),
-                              f"{name}: ({w}, {w2}) is not a path of color {lam}")
+                              "%s: (%s, %s) is not a path of color %s",
+                              name, w, w2, lam)
 
         # right ends across a reflection edge
         refl = W.reflection_roots()
@@ -527,24 +545,28 @@ def suite_lemmas(**_config) -> Report:
                             got = right_end_chain(ctx, (i,) + lam_funds,
                                                   (top,) + b, 1)
                             rep.check(got == want,
-                                      f"{name}: right end across {w} -> {wt_} "
-                                      f"at color {lam}, index {i} is {got}")
+                                      "%s: right end across %s -> %s at color "
+                                      "%s, index %s is %s",
+                                      name, w, wt_, lam, i, got)
                 # full sources when the supports nest
                 for lam in lambdas:
                     if datum.supp_root(gamma) <= datum.supp_weight(lam):
                         p = kg.path(kg.weyl_vertex(wt_), ext[lam][w], lam)
                         rep.check(kg.source(p) == kg.weyl_vertex(w),
-                                  f"{name}: source of the {w} -> {wt_} path "
-                                  f"of color {lam} is wrong")
+                                  "%s: source of the %s -> %s path of color "
+                                  "%s is wrong", name, w, wt_, lam)
 
-        # braid relation for the braiding on a three-factor Cartan component
+        # braid relation for the braiding on a three-factor Cartan component;
+        # both words end on the factor list (2, 1, 1)
         funds = (1, 1, 2)
         comp = ctx.cartan_of(funds)
+        word_l = braid_plan(ctx, funds, (0, 1, 0))
+        word_r = braid_plan(ctx, funds, (1, 0, 1))
         for elem in comp.elements:
-            state_l = _braid_word(ctx, funds, elem, (0, 1, 0))
-            state_r = _braid_word(ctx, funds, elem, (1, 0, 1))
+            state_l = apply_plan(word_l, elem)
+            state_r = apply_plan(word_r, elem)
             rep.check(state_l is not None and state_l == state_r,
-                      f"{name}: braid relation fails at {elem}")
+                      "%s: braid relation fails at %s", name, elem)
 
         # the braiding flips pairs of extremal elements
         for lam, lam2 in iterproduct(lambdas, lambdas):
@@ -552,7 +574,8 @@ def suite_lemmas(**_config) -> Report:
             for w in W:
                 got = table[(ext[lam][w], ext[lam2][w])]
                 rep.check(got == (ext[lam2][w], ext[lam][w]),
-                          f"{name}: braiding does not flip the extremal pair at {w}")
+                          "%s: braiding does not flip the extremal pair at %s",
+                          name, w)
     return rep
 
 

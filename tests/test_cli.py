@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crystalgraphs
 from crystalgraphs.cli import main
 
 
@@ -46,6 +51,19 @@ def test_braiding_table(capsys):
                        "--convention", "opposite", "--format", "json")
     rows = json.loads(out)
     assert {"in": ["a2", "b3"], "out": ["b1", "a4"]} in rows
+
+
+@pytest.mark.parametrize("factors", ["1,5", "0,1"])
+def test_braiding_index_out_of_range_is_usage_error(factors):
+    src = str(Path(crystalgraphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalgraphs.cli", "braiding",
+         "--algebra", "A2", "--factors", factors],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "outside 1..2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rightends_routes_agree(capsys):

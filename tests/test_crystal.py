@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from crystalgraphs import (Convention, Crystal, Weight, builtin_datum,
-                           canonical_isomorphism, cartan_braiding,
-                           cartan_component, crystal_from_dict,
-                           crystal_from_file, extremal_element, tensor,
-                           tensor_component, trivial_crystal, weyl_action,
-                           weyl_action_word)
+from crystalgraphs import (Convention, Crystal, CrystalContext, Weight,
+                           builtin_datum, canonical_isomorphism,
+                           cartan_braiding, cartan_component,
+                           crystal_from_dict, crystal_from_file,
+                           extremal_element, tensor, tensor_component,
+                           trivial_crystal, weyl_action, weyl_action_word)
 from crystalgraphs.crystal import _tensor_phi_eps
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
@@ -197,6 +197,14 @@ def test_trivial_crystal(a2):
     assert B.elements == ((),)
     assert B.wt(()).is_zero()
     assert a2.weight_crystal((0, 0)) is a2.cartan_of(())
+
+
+def test_weight_crystal_keeps_shared_names():
+    ctx = CrystalContext(builtin_datum("A2"))
+    comp = ctx.cartan_of((1, 2))
+    name = comp.name
+    assert ctx.rho_crystal() is comp
+    assert ctx.cartan_of((1, 2)).name == name
 
 
 def test_crystal_file_roundtrip(tmp_path, c2):

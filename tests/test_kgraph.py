@@ -1,6 +1,7 @@
 import pytest
 
-from crystalgraphs import CrystalContext, KGraph, builtin_datum
+from crystalgraphs import (Convention, CrystalContext, KGraph, KPath,
+                           builtin_datum, canonical_isomorphism)
 
 from conftest import A1_, A2_, A3_, B1_, B3_
 
@@ -122,6 +123,61 @@ def test_representative_independence(a2_kg):
 def test_order_compatibility(a2_kg):
     for p in a2_kg.enumerate_paths((1, 1)):
         assert a2_kg.vertex_leq(a2_kg.range(p), a2_kg.source(p))
+
+
+def _component_image(kg, p, q):
+    """compose(p, q) through the Cartan component of the factor ordering;
+    None when the product has no image there."""
+    ctx = kg.ctx
+    funds = (ctx.fundamental_indices(p.degree)
+             + ctx.fundamental_indices(q.degree))
+    degree = tuple(a + b for a, b in zip(p.degree, q.degree))
+    iso = canonical_isomorphism(ctx.cartan_of(funds), ctx.weight_crystal(degree))
+    image = iso.get(p.element + q.element)
+    return None if image is None else KPath(p.vertex, image, degree)
+
+
+ORACLE_CASES = [(name, conv) for name in ("A2", "C2") for conv in Convention]
+
+# (pairs, pairs off the Cartan component), the same under both conventions
+OFF_COMPONENT = {"A2": (795, 330), "C2": (3224, 1816)}
+
+
+@pytest.mark.parametrize("name,conv", ORACLE_CASES)
+def test_compose_matches_component_route(name, conv):
+    # q runs over every element of B(d) at the source of p, path or not: that
+    # covers every composable pair of enumerated paths, and products that
+    # leave the Cartan component although no braiding of the sort gives 0
+    kg = KGraph(CrystalContext(builtin_datum(name), conv))
+    pairs = off = 0
+    for p in kg.enumerate_paths((1, 1)):
+        for d in kg.degrees_up_to((1, 1)):
+            for b in kg.ctx.weight_crystal(d).elements:
+                q = KPath(kg.source(p), b, d)
+                want = _component_image(kg, p, q)
+                pairs += 1
+                if want is None:
+                    off += 1
+                    with pytest.raises(RuntimeError):
+                        kg.compose(p, q)
+                else:
+                    assert kg.compose(p, q) == want
+    assert (pairs, off) == OFF_COMPONENT[name]
+
+
+def test_axioms_build_only_sorted_components(monkeypatch):
+    from crystalgraphs.verify import run_suite
+    asked = []
+    cartan_of = CrystalContext.cartan_of
+
+    def spy(self, funds):
+        asked.append(tuple(funds))
+        return cartan_of(self, funds)
+
+    monkeypatch.setattr(CrystalContext, "cartan_of", spy)
+    assert run_suite("kgraph-axioms", algebra="A2", degree_bound=(1, 1)).ok
+    assert asked
+    assert all(funds == tuple(sorted(funds)) for funds in asked)
 
 
 @pytest.mark.slow
