@@ -3,16 +3,24 @@
 The right weak graph embeds into the skeleton (uniquely, which a brute-force
 search over color- and incidence-preserving injections confirms); the strong
 Bruhat graph embeds into the whole k-graph for every compatible coloring.
+
+The compatible colorings are a product of independent per-edge pools of
+weights, so "every coloring embeds" is checked once per (edge, color) pair:
+every condition of an embedding is local to one pair except edge injectivity,
+and two edges reach the same path only if they share a target and a color.
+`check_bruhat_colorings` makes that pass; `embed_bruhat` embeds one coloring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iterproduct
+from typing import Callable, Iterator
 
 from .crystal import extremal_element
 from .graphs import ColoredDigraph, Edge
-from .kgraph import KGraph
+from .kgraph import KGraph, KPath
 from .rootdata import Weight
 
 
@@ -34,12 +42,18 @@ def _check_embedding(kg: KGraph, graph: ColoredDigraph, emb: GraphEmbedding,
     if len(set(paths)) != len(paths):
         raise ValueError("edge map is not injective")
     for edge, p in emb.edge_map.items():
-        if p.degree != degree_of(edge).coords:
-            raise ValueError(f"edge {edge} maps to a path of the wrong degree")
-        if kg.range(p) != emb.vertex_map[edge.dst]:
-            raise ValueError(f"edge {edge} maps to a path with the wrong range")
-        if kg.source(p) != emb.vertex_map[edge.src]:
-            raise ValueError(f"edge {edge} maps to a path with the wrong source")
+        _check_edge(kg, edge, p, degree_of(edge), emb.vertex_map)
+
+
+def _check_edge(kg: KGraph, edge: Edge, p: KPath, degree: Weight,
+                vertex_map: dict) -> None:
+    """Validate the degree, range and source of one edge's path."""
+    if p.degree != degree.coords:
+        raise ValueError(f"edge {edge} maps to a path of the wrong degree")
+    if kg.range(p) != vertex_map[edge.dst]:
+        raise ValueError(f"edge {edge} maps to a path with the wrong range")
+    if kg.source(p) != vertex_map[edge.src]:
+        raise ValueError(f"edge {edge} maps to a path with the wrong source")
 
 
 def embed_right_weak(kg: KGraph) -> GraphEmbedding:
@@ -96,15 +110,37 @@ def edge_candidates(kg: KGraph, edge: Edge, bound) -> tuple[Weight, ...]:
     return tuple(Weight(coords) for coords in iterproduct(*ranges))
 
 
-def enumerate_compatible_colorings(kg: KGraph, bound) -> list[dict]:
+class CompatibleColorings:
+    """The compatible colorings of the Bruhat graph, as a lazy product.
+
+    A coloring picks one weight from each edge's pool; iterating yields the
+    colorings one at a time and nothing is materialized.  `count` is exact
+    at any size; `len` works while it fits an index (A3 at bound (1,1,1)
+    has 2**96 colorings).
+    """
+
+    def __init__(self, edges: tuple[Edge, ...],
+                 pools: tuple[tuple[Weight, ...], ...]):
+        self.edges = edges
+        self.pools = pools
+
+    @property
+    def count(self) -> int:
+        return math.prod(len(pool) for pool in self.pools)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[dict]:
+        for combo in iterproduct(*self.pools):
+            yield dict(zip(self.edges, combo))
+
+
+def enumerate_compatible_colorings(kg: KGraph, bound) -> CompatibleColorings:
     """All per-edge weight assignments satisfying the support condition."""
-    graph = kg.weyl_group.bruhat_graph()
-    edges = graph.edges
-    pools = [edge_candidates(kg, e, bound) for e in edges]
-    out = []
-    for combo in iterproduct(*pools):
-        out.append(dict(zip(edges, combo)))
-    return out
+    edges = kg.weyl_group.bruhat_graph().edges
+    return CompatibleColorings(
+        edges, tuple(edge_candidates(kg, e, bound) for e in edges))
 
 
 def minimal_coloring(kg: KGraph) -> dict:
@@ -119,20 +155,55 @@ def minimal_coloring(kg: KGraph) -> dict:
     return coloring
 
 
+def _bruhat_path(kg: KGraph, vertex_map: dict, edge: Edge,
+                 lam: Weight) -> KPath:
+    """The path of color lam for the edge w -> wt: (vertex(wt), b_{w lam})."""
+    datum = kg.ctx.datum
+    if not datum.supp_root(edge.color) <= datum.supp_weight(lam):
+        raise ValueError(f"coloring is not compatible at edge {edge}")
+    elem = extremal_element(kg.ctx.weight_crystal(lam), edge.src)
+    return kg.path(vertex_map[edge.dst], elem, lam)
+
+
 def embed_bruhat(kg: KGraph, coloring: dict) -> GraphEmbedding:
     """Edge w -> wt goes to the path (vertex(wt), b_{w c(e)}); validated."""
     W = kg.weyl_group
     graph = W.bruhat_graph()
-    datum = kg.ctx.datum
-    for e in graph.edges:
-        if not datum.supp_root(e.color) <= datum.supp_weight(coloring[e]):
-            raise ValueError(f"coloring is not compatible at edge {e}")
     vertex_map = {w: kg.weyl_vertex(w) for w in W}
-    edge_map = {}
-    for e in graph.edges:
-        lam = coloring[e]
-        elem = extremal_element(kg.ctx.weight_crystal(lam), e.src)
-        edge_map[e] = kg.path(vertex_map[e.dst], elem, lam)
+    edge_map = {e: _bruhat_path(kg, vertex_map, e, coloring[e])
+                for e in graph.edges}
     emb = GraphEmbedding(vertex_map, edge_map)
     _check_embedding(kg, graph, emb, lambda e: coloring[e])
     return emb
+
+
+def check_bruhat_colorings(kg: KGraph, colorings: CompatibleColorings,
+                           check: Callable[..., None]) -> None:
+    """Check that every coloring in `colorings` passes `embed_bruhat`.
+
+    `check(ok, fmt, *args)` is called as `Report.check` is: once for the
+    injectivity of the vertex map, once per (edge, color) pair for its path
+    (support condition, existence, degree, range, source), and once per path
+    reached, which fails when two distinct edges reach it.  The pools are
+    independent, so a condition fails here exactly when some coloring of a
+    nonempty product fails it; an empty product has nothing to check.
+    """
+    if not colorings.count:
+        return
+    vertex_map = {w: kg.weyl_vertex(w) for w in kg.weyl_group}
+    check(len(set(vertex_map.values())) == len(vertex_map),
+          "vertex map is not injective")
+    reached: dict[KPath, list[Edge]] = {}
+    for edge, pool in zip(colorings.edges, colorings.pools):
+        for lam in pool:
+            try:
+                p = _bruhat_path(kg, vertex_map, edge, lam)
+                reached.setdefault(p, []).append(edge)
+                _check_edge(kg, edge, p, lam, vertex_map)
+                check(True, "")
+            except ValueError as exc:
+                check(False, "Bruhat edge %s, color %s: %s",
+                      edge, lam.coords, exc)
+    for p, edges in reached.items():
+        check(len(edges) == 1,
+              "edge map is not injective: %s all map to %s", edges, p)

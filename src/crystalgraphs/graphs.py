@@ -40,13 +40,6 @@ class ColoredDigraph:
     def __repr__(self):
         return f"ColoredDigraph({self.name}: {len(self.vertices)} vertices, {len(self.edges)} edges)"
 
-    def colors(self) -> tuple:
-        out = []
-        for e in self.edges:
-            if e.color not in out:
-                out.append(e.color)
-        return tuple(out)
-
     def out_edges(self, v) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.src == v)
 

@@ -163,17 +163,6 @@ class SkewTableau:
             for c in range(width)
         )
 
-    def column_offsets(self) -> tuple[int, ...]:
-        width = self.outer[0] if self.outer else 0
-        offs = []
-        for c in range(width):
-            rows = [r for r in range(len(self.outer)) if (r, c) in self.cells]
-            offs.append(min(rows))
-        return tuple(offs)
-
-    def is_straight(self) -> bool:
-        return not self.inner
-
     def __eq__(self, other):
         return (isinstance(other, SkewTableau)
                 and self.outer == other.outer and self.inner == other.inner

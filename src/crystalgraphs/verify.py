@@ -13,7 +13,8 @@ from itertools import product as iterproduct
 from . import fixtures
 from .crystal import (Convention, CrystalContext, as_convention,
                       extremal_element, tensor, weyl_action)
-from .embeddings import (count_weak_embeddings, embed_bruhat, embed_right_weak,
+from .embeddings import (check_bruhat_colorings, count_weak_embeddings,
+                         embed_bruhat, embed_right_weak,
                          enumerate_compatible_colorings)
 from .kgraph import KGraph
 from .rightends import (apply_plan, braid_plan, in_cartan_component,
@@ -234,20 +235,34 @@ def _context(algebra: str, convention) -> CrystalContext:
     return CrystalContext(resolve_datum(algebra), as_convention(convention))
 
 
+def _degree_bound(ctx: CrystalContext, degree_bound) -> tuple[int, ...]:
+    """The componentwise degree bound, all 1s by default; checked against the rank."""
+    rank = ctx.datum.rank
+    bound = tuple(degree_bound) if degree_bound else (1,) * rank
+    if len(bound) != rank or any(b < 0 for b in bound):
+        raise ValueError(f"degree bound {bound} does not fit rank {rank}")
+    return bound
+
+
 def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                         degree_bound=None, **_config) -> Report:
     rep = Report("kgraph-axioms")
     ctx = _context(algebra, convention)
     kg = KGraph(ctx)
-    bound = tuple(degree_bound) if degree_bound else (1,) * ctx.datum.rank
-    if len(bound) != ctx.datum.rank:
-        raise ValueError(f"degree bound {bound} does not fit rank {ctx.datum.rank}")
+    bound = _degree_bound(ctx, degree_bound)
     paths = kg.enumerate_paths(bound)
     rep.details["paths"] = len(paths)
 
-    for p in paths:
-        rep.check(kg.vertex_leq(kg.range(p), kg.source(p)),
-                  "range of %s is not below its source", p)
+    # paths run down the crystal order, r(p) <= s(p), under hong-kang; the
+    # opposite convention mirrors the tensor rule and they run up instead
+    if ctx.convention is Convention.HONG_KANG:
+        for p in paths:
+            rep.check(kg.vertex_leq(kg.range(p), kg.source(p)),
+                      "range of %s is not below its source", p)
+    else:
+        for p in paths:
+            rep.check(kg.vertex_leq(kg.source(p), kg.range(p)),
+                      "source of %s is not below its range", p)
 
     # representative independence of the path test and the source
     lam_list = kg.degrees_up_to(bound)
@@ -311,8 +326,7 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
     rep = Report("embeddings")
     ctx = _context(algebra, convention)
     kg = KGraph(ctx)
-    degree_bound = (tuple(degree_bound) if degree_bound
-                    else (1,) * ctx.datum.rank)
+    bound = _degree_bound(ctx, degree_bound)
 
     try:
         emb = embed_right_weak(kg)
@@ -335,15 +349,18 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
                   "found %s left weak embeddings for A2, expected 0",
                   left_count)
 
-    colorings = enumerate_compatible_colorings(kg, tuple(degree_bound))
-    rep.details["compatible_colorings"] = len(colorings)
-    for coloring in colorings:
+    # every compatible coloring embeds: one pass over the (edge, color)
+    # pairs, with the first coloring embedded whole as a witness
+    colorings = enumerate_compatible_colorings(kg, bound)
+    rep.details["compatible_colorings"] = colorings.count
+    rep.details["bruhat_edge_colors"] = sum(map(len, colorings.pools))
+    if colorings.count:
         try:
-            embed_bruhat(kg, coloring)
+            embed_bruhat(kg, next(iter(colorings)))
             rep.check(True, "")
         except ValueError as exc:
             rep.check(False, "Bruhat embedding failed: %s", exc)
-            break
+    check_bruhat_colorings(kg, colorings, rep.check)
 
     # skeleton edges defined by extremal elements of comparable pairs:
     # guaranteed to exhaust the skeleton only when the fundamental crystals

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import crystalgraphs
+from crystalgraphs import fixtures
 from crystalgraphs.cli import main
 
 
@@ -53,14 +54,19 @@ def test_braiding_table(capsys):
     assert {"in": ["a2", "b3"], "out": ["b1", "a4"]} in rows
 
 
-@pytest.mark.parametrize("factors", ["1,5", "0,1"])
-def test_braiding_index_out_of_range_is_usage_error(factors):
+def run_process(*argv, fixture_dir=None):
+    """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(crystalgraphs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "crystalgraphs.cli", "braiding",
-         "--algebra", "A2", "--factors", factors],
-        capture_output=True, text=True, env=env, timeout=60)
+    if fixture_dir is not None:
+        env[fixtures.ENV_VAR] = str(fixture_dir)
+    return subprocess.run([sys.executable, "-m", "crystalgraphs.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("factors", ["1,5", "0,1"])
+def test_braiding_index_out_of_range_is_usage_error(factors):
+    proc = run_process("braiding", "--algebra", "A2", "--factors", factors)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "outside 1..2" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -133,7 +139,6 @@ def test_unknown_suite_is_usage_error(capsys):
 
 
 def test_fixture_directory_override(tmp_path, monkeypatch):
-    from crystalgraphs import fixtures
     (tmp_path / "a2_braiding.json").write_text('{"pairs": []}')
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
     assert fixtures.load("a2_braiding.json") == {"pairs": []}
@@ -149,15 +154,49 @@ ALL_FIXTURES = [
 ]
 
 
-def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
-    # a tampered reference table must surface as exit code 1, not a crash
-    from crystalgraphs import fixtures
+def tamper_fixtures(directory):
+    """Copy every fixture into `directory`, with one A2 braiding entry zeroed."""
     for name in ALL_FIXTURES:
-        (tmp_path / name).write_text(json.dumps(fixtures.load(name)))
+        (directory / name).write_text(json.dumps(fixtures.load(name)))
     data = fixtures.load("a2_braiding.json")
     data["pairs"][0]["out"] = None
-    (tmp_path / "a2_braiding.json").write_text(json.dumps(data))
-    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    (directory / "a2_braiding.json").write_text(json.dumps(data))
+    return directory
+
+
+def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a tampered reference table must surface as exit code 1, not a crash
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tamper_fixtures(tmp_path)))
     code, out, _ = run(capsys, "verify", "--suite", "a2-fixtures")
     assert code == 1
     assert json.loads(out)["failures"]
+
+
+# one case per documented exit code: 0 success, 1 a suite found failures,
+# 2 a usage or configuration error
+EXIT_CODES = [
+    pytest.param(0, False, ("verify", "--suite", "embeddings", "--algebra", "A3"),
+                 id="A3-embeddings"),
+    pytest.param(1, True, ("verify", "--suite", "a2-fixtures"),
+                 id="tampered-fixture"),
+    pytest.param(2, False, ("verify", "--suite", "embeddings", "--algebra", "Z99"),
+                 id="bad-algebra"),
+    pytest.param(2, False, ("verify", "--suite", "embeddings", "--algebra", "A2",
+                            "--degree-bound", "1,1,1"), id="bound-length"),
+    pytest.param(2, False, ("verify", "--suite", "embeddings", "--algebra", "A2",
+                            "--degree-bound=-1,1"), id="negative-bound"),
+    pytest.param(2, False, ("braiding", "--algebra", "A2", "--factors", "1,5"),
+                 id="braiding-index"),
+]
+
+
+@pytest.mark.parametrize("code, tampered, argv", EXIT_CODES)
+def test_exit_code_table(code, tampered, argv, tmp_path):
+    proc = run_process(*argv,
+                       fixture_dir=tamper_fixtures(tmp_path) if tampered else None)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: ")
+    else:
+        assert bool(json.loads(proc.stdout)["failures"]) == (code == 1)

@@ -1,10 +1,11 @@
 import pytest
 
-from crystalgraphs import (CrystalContext, KGraph, Weight, builtin_datum,
-                           count_weak_embeddings, embed_bruhat,
+from crystalgraphs import (Convention, CrystalContext, KGraph, Report, Weight,
+                           builtin_datum, count_weak_embeddings, embed_bruhat,
                            embed_right_weak, enumerate_compatible_colorings,
-                           minimal_coloring)
-from crystalgraphs.embeddings import edge_candidates
+                           minimal_coloring, run_suite)
+from crystalgraphs import embeddings
+from crystalgraphs.embeddings import check_bruhat_colorings, edge_candidates
 
 from conftest import A1_
 
@@ -68,3 +69,78 @@ def test_incompatible_coloring_rejected(a2_kg):
 def test_all_bounded_colorings_embed_c2(c2_kg):
     for coloring in enumerate_compatible_colorings(c2_kg, (1, 1)):
         embed_bruhat(c2_kg, coloring)
+
+
+def _every_coloring_embeds(kg, colorings) -> bool:
+    try:
+        for coloring in colorings:
+            embed_bruhat(kg, coloring)
+    except ValueError:
+        return False
+    return True
+
+
+def _pair_check(kg, colorings) -> Report:
+    rep = Report("pairs")
+    check_bruhat_colorings(kg, colorings, rep.check)
+    return rep
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("name, count", [("A2", 64), ("C2", 256)])
+def test_pair_check_matches_full_enumeration(name, count, convention):
+    kg = KGraph(CrystalContext(builtin_datum(name), convention))
+    colorings = enumerate_compatible_colorings(kg, (1, 1))
+    assert colorings.count == count == sum(1 for _ in colorings)
+    verdict = _pair_check(kg, colorings).ok
+    assert verdict == _every_coloring_embeds(kg, colorings)
+    assert verdict == (convention is Convention.HONG_KANG)
+
+
+def test_same_target_collision_is_reported(a2_kg, monkeypatch):
+    kg = a2_kg
+    W = kg.weyl_group
+    s1, s2 = W.simple(1), W.simple(2)
+    target = W.multiply(s1, s2)
+    # s1 -> s1 s2 (root a2) and s2 -> s1 s2 (root a1 + a2) share color (1, 1);
+    # sending s2 to the extremal element of s1 makes their paths coincide
+    e1, e2 = (next(e for e in W.bruhat_graph().edges
+                   if e.src == u and e.dst == target) for u in (s1, s2))
+    real = embeddings.extremal_element
+    monkeypatch.setattr(embeddings, "extremal_element",
+                        lambda crystal, w: real(crystal, s1 if w == s2 else w))
+    colorings = enumerate_compatible_colorings(kg, (1, 1))
+    failures = _pair_check(kg, colorings).failures
+    assert any("not injective" in f and repr(e1) in f and repr(e2) in f
+               for f in failures)
+    # the borrowed path still starts at the vertex of s1, not of s2
+    assert any("wrong source" in f and repr(e2) in f for f in failures)
+    assert not _every_coloring_embeds(kg, colorings)
+    coloring = next(iter(colorings))
+    coloring[e1] = coloring[e2] = Weight((1, 1))
+    with pytest.raises(ValueError, match="edge map is not injective"):
+        embed_bruhat(kg, coloring)
+
+
+@pytest.mark.parametrize("name, bound, count", [
+    ("A3", (1, 1, 1), 79_228_162_514_264_337_593_543_950_336),  # 2**96
+    ("C2", (2, 2), 110_075_314_176),
+])
+def test_embeddings_suite_beyond_enumeration(name, bound, count):
+    rep = run_suite("embeddings", algebra=name, degree_bound=bound)
+    assert rep.failures == []
+    assert rep.details["compatible_colorings"] == count
+
+
+def test_coloring_count_past_len(a3):
+    colorings = enumerate_compatible_colorings(KGraph(a3), (1, 1, 1))
+    assert colorings.count == 2 ** 96
+    with pytest.raises(OverflowError):
+        len(colorings)
+
+
+def test_empty_product_checks_nothing(a2_kg):
+    # a bound of 0 on index 1 leaves the edges whose root involves a1 no color
+    colorings = enumerate_compatible_colorings(a2_kg, (0, 1))
+    assert colorings.count == 0 and list(colorings) == []
+    assert _pair_check(a2_kg, colorings).instances_checked == 0

@@ -1,4 +1,6 @@
-from crystalgraphs import Report
+import pytest
+
+from crystalgraphs import Report, run_suite
 
 
 class Unprintable:
@@ -24,3 +26,10 @@ def test_failing_check_records_formatted_text():
                             "a message with no arguments keeps its 100%",
                             "'b2' is not [1, 2]"]
     assert not rep.ok
+
+
+@pytest.mark.parametrize("algebra", ["A2", "C2"])
+def test_kgraph_axioms_pass_under_opposite(algebra):
+    rep = run_suite("kgraph-axioms", algebra=algebra, convention="opposite",
+                    degree_bound=(1, 1))
+    assert rep.ok, rep.failures[:3]
