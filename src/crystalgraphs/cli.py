@@ -69,10 +69,9 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = {}
+    config = {"convention": args.convention}
     if args.algebra:
         config["algebra"] = args.algebra
-        config["convention"] = args.convention
     if args.degree_bound:
         rank = resolve_datum(args.algebra or "A2").rank
         config["degree_bound"] = _parse_bound(args.degree_bound, rank)

@@ -250,39 +250,32 @@ def tensor(factors, convention=Convention.HONG_KANG, name: str = "") -> Crystal:
                    factors=factors, validate=False)
 
 
-def tensor_component(factors, convention=Convention.HONG_KANG, seed=None,
+def tensor_component(factors, convention=Convention.HONG_KANG,
                      name: str = "") -> Crystal:
-    """The connected component of `seed` in a tensor product, built lazily.
+    """The Cartan component of a tensor product, built lazily.
 
-    Defaults to the component of the product of highest weight elements,
-    i.e. the Cartan component.  Only the component is ever materialized, so
-    large ambient products cost nothing.
+    The component of the product of highest weight elements is a highest
+    weight crystal, so the lowering operators alone reach all of it from that
+    element, breadth first; raising maps follow by inversion.  Only the
+    component is ever materialized, so large ambient products cost nothing.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
-    if seed is None:
-        seed = tuple(c.hw_element() for c in factors)
-    seen = {seed}
+    seed = tuple(c.hw_element() for c in factors)
+    # `seen` maps each element to the one tuple that `order` and the maps
+    # share; `order` grows while the loop walks it, which makes it a queue
+    seen = {seed: seed}
     order = [seed]
-    queue = deque([seed])
     lowering = {i: {} for i in datum.indices}
-    while queue:
-        elem = queue.popleft()
+    for elem in order:
         for i in datum.indices:
             down = _tensor_apply(factors, conv, elem, i, lower=True)
-            if down is not None:
-                lowering[i][elem] = down
-                if down not in seen:
-                    seen.add(down)
-                    order.append(down)
-                    queue.append(down)
-            up = _tensor_apply(factors, conv, elem, i, lower=False)
-            if up is not None:
-                if up not in seen:
-                    seen.add(up)
-                    order.append(up)
-                    queue.append(up)
-                lowering[i][up] = elem
+            if down is None:
+                continue
+            kept = seen.setdefault(down, down)
+            if kept is down:
+                order.append(down)
+            lowering[i][elem] = kept
     weights = {}
     for elem in order:
         w = datum.zero_weight()
@@ -496,12 +489,9 @@ class CrystalContext:
         self.datum = datum
         self.convention = as_convention(convention)
         self._fund: dict[int, Crystal] = {}
-        self._products: dict[tuple, Crystal] = {}
         self._components: dict[tuple, Crystal] = {}
         self._weight_crystals: dict[tuple, Crystal] = {}
         self._braidings: dict[tuple, dict] = {}
-        self._crystal_braidings: dict[tuple, dict] = {}
-        self._braiding_sources: list = []  # keeps id() keys valid
 
     def fundamental(self, i: int) -> Crystal:
         if i not in self._fund:
@@ -529,17 +519,6 @@ class CrystalContext:
         if not self.datum.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
         return tuple(i for i in self.datum.indices for _ in range(lam.coords[i - 1]))
-
-    def product_crystal(self, funds: tuple[int, ...]) -> Crystal:
-        """The full tensor product of fundamental crystals, in the given order."""
-        funds = tuple(funds)
-        if funds not in self._products:
-            if not funds:
-                self._products[funds] = trivial_crystal(self.datum)
-            else:
-                self._products[funds] = tensor(
-                    [self.fundamental(i) for i in funds], self.convention)
-        return self._products[funds]
 
     def cartan_of(self, funds: tuple[int, ...]) -> Crystal:
         """The Cartan component of a product of fundamentals, built lazily."""
@@ -569,10 +548,3 @@ class CrystalContext:
             self._braidings[(i, j)] = cartan_braiding(
                 self.fundamental(i), self.fundamental(j), self.convention)
         return self._braidings[(i, j)]
-
-    def braiding_of(self, c1: Crystal, c2: Crystal) -> dict:
-        key = (id(c1), id(c2))
-        if key not in self._crystal_braidings:
-            self._crystal_braidings[key] = cartan_braiding(c1, c2, self.convention)
-            self._braiding_sources.append((c1, c2))
-        return self._crystal_braidings[key]

@@ -40,17 +40,6 @@ class ColoredDigraph:
     def __repr__(self):
         return f"ColoredDigraph({self.name}: {len(self.vertices)} vertices, {len(self.edges)} edges)"
 
-    def out_edges(self, v) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == v)
-
-    def in_edges(self, v) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.dst == v)
-
-    def count(self, src, dst, color) -> int:
-        """Multiplicity of (src, dst, color) edges."""
-        return sum(1 for e in self.edges
-                   if e.src == src and e.dst == dst and e.color == color)
-
     def edge_multiset(self) -> dict[tuple, int]:
         out: dict[tuple, int] = {}
         for e in self.edges:
@@ -60,9 +49,6 @@ class ColoredDigraph:
 
     def edge_triples(self) -> frozenset[tuple]:
         return frozenset((e.src, e.dst, e.color) for e in self.edges)
-
-    def uncolored_edges(self) -> frozenset[tuple]:
-        return frozenset((e.src, e.dst) for e in self.edges)
 
     # -- export ------------------------------------------------------------
 

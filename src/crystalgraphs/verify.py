@@ -12,7 +12,7 @@ from itertools import product as iterproduct
 
 from . import fixtures
 from .crystal import (Convention, CrystalContext, as_convention,
-                      extremal_element, tensor, weyl_action)
+                      cartan_braiding, extremal_element, tensor, weyl_action)
 from .embeddings import (check_bruhat_colorings, count_weak_embeddings,
                          embed_bruhat, embed_right_weak,
                          enumerate_compatible_colorings)
@@ -323,6 +323,10 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
 
 def suite_embeddings(algebra: str = "A2", convention="hong-kang",
                      degree_bound=None, **_config) -> Report:
+    if as_convention(convention) is not Convention.HONG_KANG:
+        raise ValueError("the embeddings suite needs the hong-kang "
+                         "convention: its extremal paths and its weak "
+                         "embedding follow that convention's direction")
     rep = Report("embeddings")
     ctx = _context(algebra, convention)
     kg = KGraph(ctx)
@@ -587,7 +591,8 @@ def suite_lemmas(**_config) -> Report:
 
         # the braiding flips pairs of extremal elements
         for lam, lam2 in iterproduct(lambdas, lambdas):
-            table = ctx.braiding_of(crystals[lam], crystals[lam2])
+            table = cartan_braiding(crystals[lam], crystals[lam2],
+                                    ctx.convention)
             for w in W:
                 got = table[(ext[lam][w], ext[lam2][w])]
                 rep.check(got == (ext[lam2][w], ext[lam][w]),

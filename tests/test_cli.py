@@ -185,6 +185,12 @@ EXIT_CODES = [
                             "--degree-bound", "1,1,1"), id="bound-length"),
     pytest.param(2, False, ("verify", "--suite", "embeddings", "--algebra", "A2",
                             "--degree-bound=-1,1"), id="negative-bound"),
+    pytest.param(2, False, ("verify", "--suite", "embeddings",
+                            "--convention", "opposite"),
+                 id="embeddings-opposite"),
+    pytest.param(2, False, ("verify", "--suite", "embeddings", "--algebra", "A2",
+                            "--convention", "opposite"),
+                 id="embeddings-opposite-A2"),
     pytest.param(2, False, ("braiding", "--algebra", "A2", "--factors", "1,5"),
                  id="braiding-index"),
 ]

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -157,12 +158,23 @@ def test_cartan_component_sizes(a2, c2_opp):
         (b,) for b in B.elements)
 
 
-def test_tensor_component_matches_full_product_component(a2):
-    factors = (a2.fundamental(1), a2.fundamental(1), a2.fundamental(2))
-    lazy = tensor_component(factors, a2.convention)
-    full = cartan_component(tensor(factors, a2.convention))
-    assert set(lazy.elements) == set(full.elements)
-    lazy.validate()
+def test_tensor_component_matches_full_product_component():
+    # lowering alone from the highest weight seed against BFS over both
+    # operators in the full product, for every list of at most 3 factors
+    for name, convention in product(("A2", "A3", "C2"), Convention):
+        ctx = CrystalContext(builtin_datum(name), convention)
+        indices = ctx.datum.indices
+        for length in (1, 2, 3):
+            for funds in product(indices, repeat=length):
+                case = (name, convention.value, funds)
+                factors = [ctx.fundamental(i) for i in funds]
+                lazy = tensor_component(factors, convention)
+                full = cartan_component(tensor(factors, convention))
+                assert set(lazy.elements) == set(full.elements), case
+                for i in indices:
+                    assert all(lazy.f(i, b) == full.f(i, b)
+                               for b in full.elements), (case, i)
+                lazy.validate()
 
 
 def test_canonical_isomorphism(a2):

@@ -1,8 +1,9 @@
 import pytest
 
-from crystalgraphs import (apply_chain, extremal_element, in_cartan_component,
+from crystalgraphs import (Convention, CrystalContext, apply_chain,
+                           builtin_datum, extremal_element, in_cartan_component,
                            right_end_chain, right_end_inclusion,
-                           right_end_tuple, source_identity_holds)
+                           right_end_tuple, source_identity_holds, tensor)
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
 
@@ -33,7 +34,7 @@ def test_right_end_inclusion_examples(a2):
     # highest weight goes to highest weight
     assert right_end_inclusion(a2, rho, hw, omega2) == (B1_,)
     # R_1(a_3 (x) b_1) = a_2
-    P = a2.product_crystal((1, 2))
+    P = tensor((a2.fundamental(1), a2.fundamental(2)), a2.convention)
     assert right_end_inclusion(a2, P, (A3_, B1_), omega1) == (A2_,)
     # outside the Cartan component the value is 0
     assert right_end_inclusion(a2, P, (A1_, B3_), omega1) is None
@@ -53,13 +54,28 @@ def test_chain_route_equals_inclusion_route(a2, c2_opp):
                 assert via_inclusion == (ends[i - 1],)
 
 
-def test_membership_chain_equals_component(a2, c2_opp):
-    for ctx in (a2, c2_opp):
-        for funds in ((1, 2), (2, 1), (1, 1, 2)):
-            P = ctx.product_crystal(funds)
-            comp = set(ctx.cartan_of(funds).elements)
+def test_membership_chain_equals_component():
+    for name in ("A2", "A3", "C2"):
+        for convention in Convention:
+            ctx = CrystalContext(builtin_datum(name), convention)
+            rho_funds = tuple(ctx.datum.indices)
+            for funds in ((1, 2), (2, 1), (1, 1, 2), rho_funds):
+                P = tensor([ctx.fundamental(i) for i in funds], convention)
+                comp = set(ctx.cartan_of(funds).elements)
+                for elem in P.elements:
+                    assert (in_cartan_component(ctx, funds, elem)
+                            == (elem in comp)), (name, convention, elem)
+            # right_end_tuple takes membership from the chains of its ends
+            P = tensor([ctx.fundamental(i) for i in rho_funds], convention)
             for elem in P.elements:
-                assert in_cartan_component(ctx, funds, elem) == (elem in comp)
+                if not in_cartan_component(ctx, rho_funds, elem):
+                    with pytest.raises(ValueError,
+                                       match="outside the Cartan component"):
+                        right_end_tuple(ctx, elem)
+                else:
+                    assert right_end_tuple(ctx, elem) == tuple(
+                        right_end_chain(ctx, rho_funds, elem, k)
+                        for k in rho_funds)
 
 
 def test_extremal_tuples(a2, c2, a2_weyl):

@@ -86,12 +86,14 @@ def test_weak_graphs():
     assert (el(A2, 2), el(A2, 2, 1), 1) in right.edge_triples()
     # w = s_2 s_1 s_2 arises from s_1 s_2 by left multiplication with s_2
     assert (el(A2, 1, 2), el(A2, 2, 1, 2), 2) in left.edge_triples()
-    bruhat_pairs = A2.bruhat_graph().uncolored_edges()
+    bruhat_pairs = {(e.src, e.dst) for e in A2.bruhat_graph().edges}
     for graph in (right, left):
-        assert graph.uncolored_edges() <= bruhat_pairs
-        assert len(graph.out_edges(A2.identity)) == 2
-        sinks = [v for v in graph.vertices if not graph.out_edges(v)]
-        sources = [v for v in graph.vertices if not graph.in_edges(v)]
+        assert {(e.src, e.dst) for e in graph.edges} <= bruhat_pairs
+        assert sum(e.src == A2.identity for e in graph.edges) == 2
+        tails = {e.src for e in graph.edges}
+        heads = {e.dst for e in graph.edges}
+        sinks = [v for v in graph.vertices if v not in tails]
+        sources = [v for v in graph.vertices if v not in heads]
         assert sinks == [A2.longest] and sources == [A2.identity]
 
 
