@@ -3,7 +3,7 @@ Cartan components and the Cartan braiding.
 
 A crystal is stored as its lowering maps; zero is an absent value, never a
 sentinel element.  Tensor products support both bracketing conventions behind
-a single flag, applied left-associatively across the factor list.
+a single flag, through the signature rule over the whole factor list.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class Crystal:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"{name}: duplicate element ids")
         self._desc: dict = {}
+        self._strings: dict[int, dict] = {}
         if validate:
             self.validate()
 
@@ -92,6 +93,28 @@ class Crystal:
         while (b := self._e[i].get(b)) is not None:
             k += 1
         return k
+
+    def string_lengths(self, i: int) -> dict:
+        """(epsilon_i(b), phi_i(b)) for every element b, built on first use.
+
+        Each i-string is walked once from its top, so the table costs one
+        pass over the crystal.  The tensor rule reads it for every factor.
+        """
+        table = self._strings.get(i)
+        if table is None:
+            table = {}
+            fmap, emap = self._f[i], self._e[i]
+            for head in self.elements:
+                if head in emap:
+                    continue
+                string = [head]
+                while (b := fmap.get(string[-1])) is not None:
+                    string.append(b)
+                last = len(string) - 1
+                for k, b in enumerate(string):
+                    table[b] = (k, last - k)
+            self._strings[i] = table
+        return table
 
     def validate(self) -> None:
         r = self.datum.rank
@@ -184,38 +207,52 @@ def trivial_crystal(datum: RootDatum) -> Crystal:
 
 # -- tensor products --------------------------------------------------------
 
-def _tensor_phi_eps(factors, conv: Convention, elem, i: int) -> tuple[int, int]:
-    """Closed-form string lengths of a tensor element, folded left to right."""
-    phi = factors[0].phi(i, elem[0])
-    eps = factors[0].epsilon(i, elem[0])
-    for c, b in zip(factors[1:], elem[1:]):
-        p2, e2 = c.phi(i, b), c.epsilon(i, b)
-        if conv is Convention.HONG_KANG:
-            phi, eps = p2 + max(0, phi - e2), eps + max(0, e2 - phi)
-        else:
-            phi, eps = phi + max(0, p2 - eps), e2 + max(0, eps - p2)
-    return phi, eps
+def _tensor_rule(factors, conv: Convention, i: int, lower: bool) -> tuple:
+    """The operator i of a tensor product, prepared for `_tensor_apply`.
+
+    This is the signature rule (Bump-Schilling, *Crystal Bases*, 2017): the
+    factor b contributes epsilon_i(b) signs - followed by phi_i(b) signs +,
+    and each - cancels the nearest uncancelled + to its left.  Lowering acts on
+    the factor of the first uncancelled +, raising on the factor of the last
+    uncancelled -.  Hong-kang reads the factors left to right, opposite
+    reads them right to left.  The rule is (scan, moves, lower): the
+    (position, string lengths) of the factors in reading order, and the
+    operator's map on each factor.
+    """
+    positions = range(len(factors))
+    if conv is not Convention.HONG_KANG:
+        positions = reversed(positions)
+    scan = tuple((k, factors[k].string_lengths(i)) for k in positions)
+    moves = tuple((c._f if lower else c._e)[i] for c in factors)
+    return scan, moves, lower
 
 
-def _tensor_apply(factors, conv: Convention, elem, i: int, lower: bool):
-    """Apply a Kashiwara operator to a tensor element; None encodes 0."""
-    if len(elem) == 1:
-        b2 = factors[0].f(i, elem[0]) if lower else factors[0].e(i, elem[0])
-        return None if b2 is None else (b2,)
-    phi_p, eps_p = _tensor_phi_eps(factors[:-1], conv, elem[:-1], i)
-    last_c, last_b = factors[-1], elem[-1]
-    if conv is Convention.HONG_KANG:
-        act_left = phi_p > last_c.epsilon(i, last_b) if lower \
-            else phi_p >= last_c.epsilon(i, last_b)
+def _tensor_apply(rule, elem):
+    """Apply a rule of `_tensor_rule` to a tensor element; None encodes 0.
+
+    One pass in reading order keeps `acc`, the number of uncancelled signs
+    + so far, and `at`, the position the operator would act on.
+    """
+    scan, moves, lower = rule
+    acc = 0
+    at = -1
+    if lower:
+        for k, strings in scan:
+            eps, phi = strings[elem[k]]
+            if eps >= acc:
+                acc = phi
+                at = k if phi else -1
+            else:
+                acc += phi - eps
     else:
-        act_right = last_c.phi(i, last_b) > eps_p if lower \
-            else last_c.phi(i, last_b) >= eps_p
-        act_left = not act_right
-    if act_left:
-        res = _tensor_apply(factors[:-1], conv, elem[:-1], i, lower)
-        return None if res is None else res + (last_b,)
-    b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
-    return None if b2 is None else elem[:-1] + (b2,)
+        for k, strings in scan:
+            eps, phi = strings[elem[k]]
+            if eps > acc:
+                at = k
+            acc = max(acc - eps, 0) + phi
+    if at < 0:
+        return None
+    return elem[:at] + (moves[at][elem[at]],) + elem[at + 1:]
 
 
 def _check_factors(factors):
@@ -241,8 +278,9 @@ def tensor(factors, convention=Convention.HONG_KANG, name: str = "") -> Crystal:
         weights[elem] = w
     lowering = {i: {} for i in datum.indices}
     for i in datum.indices:
+        rule = _tensor_rule(factors, conv, i, lower=True)
         for elem in elements:
-            res = _tensor_apply(factors, conv, elem, i, lower=True)
+            res = _tensor_apply(rule, elem)
             if res is not None:
                 lowering[i][elem] = res
     name = name or "(" + " x ".join(c.name for c in factors) + ")"
@@ -256,32 +294,43 @@ def tensor_component(factors, convention=Convention.HONG_KANG,
 
     The component of the product of highest weight elements is a highest
     weight crystal, so the lowering operators alone reach all of it from that
-    element, breadth first; raising maps follow by inversion.  Only the
-    component is ever materialized, so large ambient products cost nothing.
+    element, breadth first; raising maps follow by inversion.  A new element
+    takes the weight of the element it was lowered from, minus alpha_i (each
+    factor's lowering shifts its weight so, and `Crystal.validate` checks
+    that), and equal weights share one object.  Only the component is ever
+    materialized, so large ambient products cost nothing.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
+    rules = [(i, _tensor_rule(factors, conv, i, lower=True)) for i in datum.indices]
+    alpha = {i: datum.weight_of_root(datum.simple_root(i)) for i in datum.indices}
     seed = tuple(c.hw_element() for c in factors)
+    hw = datum.zero_weight()
+    for c, b in zip(factors, seed):
+        hw = hw + c.wt(b)
     # `seen` maps each element to the one tuple that `order` and the maps
     # share; `order` grows while the loop walks it, which makes it a queue
     seen = {seed: seed}
     order = [seed]
+    weights = {seed: hw}
+    shifted: dict[tuple, Weight] = {}   # (weight, i) -> weight - alpha_i
+    pool = {hw: hw}
     lowering = {i: {} for i in datum.indices}
     for elem in order:
-        for i in datum.indices:
-            down = _tensor_apply(factors, conv, elem, i, lower=True)
+        w = weights[elem]
+        for i, rule in rules:
+            down = _tensor_apply(rule, elem)
             if down is None:
                 continue
             kept = seen.setdefault(down, down)
             if kept is down:
                 order.append(down)
+                w2 = shifted.get((w, i))
+                if w2 is None:
+                    w2 = w - alpha[i]
+                    w2 = shifted[(w, i)] = pool.setdefault(w2, w2)
+                weights[down] = w2
             lowering[i][elem] = kept
-    weights = {}
-    for elem in order:
-        w = datum.zero_weight()
-        for c, b in zip(factors, elem):
-            w = w + c.wt(b)
-        weights[elem] = w
     name = name or "cartan(" + " x ".join(c.name for c in factors) + ")"
     return Crystal(datum, order, weights, lowering, name=name,
                    factors=factors, validate=False)
@@ -476,13 +525,30 @@ def crystal_from_file(datum: RootDatum, path: str, name: str = "") -> Crystal:
 
 # -- the context: one algebra, one convention, shared caches -------------------
 
+# The largest highest weight crystal a context builds: B(rho) of A5, with
+# 32,768 elements, is well under it, and B(rho) of A6, with 2,097,152, over.
+MAX_CRYSTAL_SIZE = 200_000
+
+
+def check_crystal_size(datum: RootDatum, lam: Weight) -> int:
+    """|B(lam)| by the Weyl dimension formula; ValueError above the limit."""
+    size = datum.dimension(lam)
+    if size > MAX_CRYSTAL_SIZE:
+        raise ValueError(
+            f"B{lam.coords} of {datum.name or 'this algebra'} has {size:,} "
+            f"elements, over the limit of {MAX_CRYSTAL_SIZE:,}")
+    return size
+
+
 class CrystalContext:
     """Builds and caches the crystals of one Cartan datum under one convention.
 
     All caches are filled on first use and shared read-only afterwards:
     fundamental crystals, connected realizations of highest weight crystals
     (as components of products of fundamentals, indices sorted increasingly),
-    and the pairwise braiding tables between fundamental crystals.
+    the fundamental indices of each weight, the pairwise braiding tables
+    between fundamental crystals, and the braid chains that
+    `rightends.apply_chain` runs, keyed by (factor list, start).
     """
 
     def __init__(self, datum: RootDatum, convention=Convention.HONG_KANG):
@@ -491,7 +557,9 @@ class CrystalContext:
         self._fund: dict[int, Crystal] = {}
         self._components: dict[tuple, Crystal] = {}
         self._weight_crystals: dict[tuple, Crystal] = {}
+        self._fund_indices: dict[tuple, tuple[int, ...]] = {}
         self._braidings: dict[tuple, dict] = {}
+        self._chains: dict[tuple, tuple] = {}
 
     def fundamental(self, i: int) -> Crystal:
         if i not in self._fund:
@@ -515,10 +583,16 @@ class CrystalContext:
 
     def fundamental_indices(self, lam) -> tuple[int, ...]:
         """The sorted multiset of fundamental indices summing to lam."""
-        lam = self.weight(lam)
-        if not self.datum.is_dominant(lam):
-            raise ValueError(f"{lam} is not dominant")
-        return tuple(i for i in self.datum.indices for _ in range(lam.coords[i - 1]))
+        key = lam.coords if isinstance(lam, Weight) else tuple(lam)
+        funds = self._fund_indices.get(key)
+        if funds is None:
+            lam = self.weight(lam)
+            if not self.datum.is_dominant(lam):
+                raise ValueError(f"{lam} is not dominant")
+            funds = tuple(i for i in self.datum.indices
+                          for _ in range(lam.coords[i - 1]))
+            self._fund_indices[key] = funds
+        return funds
 
     def cartan_of(self, funds: tuple[int, ...]) -> Crystal:
         """The Cartan component of a product of fundamentals, built lazily."""
@@ -532,11 +606,15 @@ class CrystalContext:
         return self._components[funds]
 
     def weight_crystal(self, lam) -> Crystal:
-        """B(lam), realized inside the sorted product of fundamentals."""
+        """B(lam), realized inside the sorted product of fundamentals.
+
+        Refuses, before building anything, a crystal over MAX_CRYSTAL_SIZE.
+        """
         lam = self.weight(lam)
         if lam.coords not in self._weight_crystals:
-            self._weight_crystals[lam.coords] = self.cartan_of(
-                self.fundamental_indices(lam))
+            funds = self.fundamental_indices(lam)
+            check_crystal_size(self.datum, lam)
+            self._weight_crystals[lam.coords] = self.cartan_of(funds)
         return self._weight_crystals[lam.coords]
 
     def rho_crystal(self) -> Crystal:

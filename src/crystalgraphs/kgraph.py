@@ -113,7 +113,7 @@ class KGraph:
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized."""
         if p not in self._sources:
-            lam_funds = self.ctx.fundamental_indices(self.ctx.weight(p.degree))
+            lam_funds = self.ctx.fundamental_indices(p.degree)
             out = []
             for i in self.datum.indices:
                 end = right_end_chain(self.ctx, (i,) + lam_funds,

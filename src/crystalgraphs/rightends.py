@@ -4,8 +4,8 @@ Elements of highest weight crystals are flat tuples in a product of
 fundamental crystals, so every computation below reduces to the cached
 pairwise braiding tables between fundamentals.  A positional braid word is
 built once per factor list as a plan (`braid_plan`) and applied to elements
-by `apply_plan`; `apply_chain` keeps its own loop, because right ends call it
-far more often than anything else.  The inclusion realization
+by `apply_plan`; the chains of `apply_chain` are such plans too, cached in
+the context per factor list and start.  The inclusion realization
 B(lam) -> B(lam - mu) (x) B(mu) is also provided; it serves as an independent
 second route for the same values.
 """
@@ -20,21 +20,21 @@ def apply_chain(ctx: CrystalContext, funds, elem, k: int):
     """Apply the adjacent braidings at positions k, k+1, ..., n-1 (1-based).
 
     Returns the transformed (funds, elem) pair, or None as soon as a braiding
-    gives 0.  The factor starting at position k ends up rightmost.
+    gives 0.  The factor starting at position k ends up rightmost.  The plan
+    and the moved factor list of each (funds, k) are built once per context.
     """
-    funds = list(funds)
-    elem = list(elem)
-    n = len(elem)
-    if not 1 <= k <= n:
-        raise IndexError(f"chain start {k} outside 1..{n}")
-    for pos in range(k - 1, n - 1):
-        i, j = funds[pos], funds[pos + 1]
-        out = ctx.braiding(i, j)[(elem[pos], elem[pos + 1])]
-        if out is None:
-            return None
-        elem[pos], elem[pos + 1] = out
-        funds[pos], funds[pos + 1] = j, i
-    return tuple(funds), tuple(elem)
+    funds = tuple(funds)
+    chain = ctx._chains.get((funds, k))
+    if chain is None:
+        n = len(funds)
+        if not 1 <= k <= n:
+            raise IndexError(f"chain start {k} outside 1..{n}")
+        moved = funds[:k - 1] + funds[k:] + funds[k - 1:k]
+        chain = (braid_plan(ctx, funds, range(k - 1, n - 1)), moved)
+        ctx._chains[(funds, k)] = chain
+    plan, moved = chain
+    elem = apply_plan(plan, elem)
+    return None if elem is None else (moved, elem)
 
 
 def sorting_word(funds) -> tuple[int, ...]:

@@ -184,6 +184,23 @@ class RootDatum:
         k = self.coroot_pairing(lam, gamma)
         return lam - k * self.weight_of_root(gamma)
 
+    @cached_property
+    def _positive_coroots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.coroot_coords(g) for g in self._positive_roots)
+
+    def dimension(self, lam: Weight) -> int:
+        """|B(lam)| for dominant lam, by the Weyl dimension formula: the
+        product over positive roots a of (lam + rho, a^v) / (rho, a^v).
+
+        Both are `coroot_pairing`s, taken from coroot coordinates computed
+        once per datum; rho is (1, ..., 1) in these coordinates.
+        """
+        num = den = 1
+        for cv in self._positive_coroots:
+            num *= sum(c * (x + 1) for c, x in zip(cv, lam.coords, strict=True))
+            den *= sum(cv)
+        return num // den
+
     # -- supports and dominance -------------------------------------------
 
     def supp_root(self, gamma: RootVector) -> frozenset[int]:

@@ -12,7 +12,8 @@ from itertools import product as iterproduct
 
 from . import fixtures
 from .crystal import (Convention, CrystalContext, as_convention,
-                      cartan_braiding, extremal_element, tensor, weyl_action)
+                      cartan_braiding, check_crystal_size, extremal_element,
+                      tensor, weyl_action)
 from .embeddings import (check_bruhat_colorings, count_weak_embeddings,
                          embed_bruhat, embed_right_weak,
                          enumerate_compatible_colorings)
@@ -235,12 +236,19 @@ def _context(algebra: str, convention) -> CrystalContext:
     return CrystalContext(resolve_datum(algebra), as_convention(convention))
 
 
-def _degree_bound(ctx: CrystalContext, degree_bound) -> tuple[int, ...]:
-    """The componentwise degree bound, all 1s by default; checked against the rank."""
+def _degree_bound(ctx: CrystalContext, degree_bound,
+                  composed: int = 1) -> tuple[int, ...]:
+    """The componentwise degree bound, all 1s by default; checked against the rank.
+
+    A suite that composes up to `composed` paths builds B(composed * bound)
+    at most, so that size is checked before anything is built; B(rho) is
+    checked when the k-graph asks for it.
+    """
     rank = ctx.datum.rank
     bound = tuple(degree_bound) if degree_bound else (1,) * rank
     if len(bound) != rank or any(b < 0 for b in bound):
         raise ValueError(f"degree bound {bound} does not fit rank {rank}")
+    check_crystal_size(ctx.datum, ctx.weight([composed * b for b in bound]))
     return bound
 
 
@@ -248,8 +256,8 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                         degree_bound=None, **_config) -> Report:
     rep = Report("kgraph-axioms")
     ctx = _context(algebra, convention)
+    bound = _degree_bound(ctx, degree_bound, composed=3)  # associativity
     kg = KGraph(ctx)
-    bound = _degree_bound(ctx, degree_bound)
     paths = kg.enumerate_paths(bound)
     rep.details["paths"] = len(paths)
 
@@ -329,8 +337,8 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
                          "embedding follow that convention's direction")
     rep = Report("embeddings")
     ctx = _context(algebra, convention)
-    kg = KGraph(ctx)
     bound = _degree_bound(ctx, degree_bound)
+    kg = KGraph(ctx)
 
     try:
         emb = embed_right_weak(kg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -41,6 +42,26 @@ def test_skeleton_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "skeleton", "--algebra", "A1", "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph")
+
+
+# SHA-256 of whole outputs: a change to the tensor rule or to the braid
+# chains must keep these outputs byte-identical
+PINNED_OUTPUTS = [
+    pytest.param(("skeleton", "--algebra", "A4", "--output", "json"),
+                 "d1fa31b47c71e3f517283953784d2f66ba08d1dbb10b340ea29b80027345965b",
+                 id="skeleton-A4"),
+    pytest.param(("rightends", "--algebra", "C2", "--convention", "opposite",
+                  "--format", "json"),
+                 "70e6a2d434fa978a3c065601191c11a531b62924eed0d8c953d78c2d55728853",
+                 id="rightends-C2-opposite"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_braiding_table(capsys):
@@ -193,6 +214,9 @@ EXIT_CODES = [
                  id="embeddings-opposite-A2"),
     pytest.param(2, False, ("braiding", "--algebra", "A2", "--factors", "1,5"),
                  id="braiding-index"),
+    pytest.param(2, False, ("skeleton", "--algebra", "A9"), id="rho-too-large"),
+    pytest.param(2, False, ("verify", "--suite", "kgraph-axioms", "--algebra", "A4",
+                            "--degree-bound", "9,9,9,9"), id="bound-too-large"),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crystalgraphs import (Convention, Crystal, CrystalContext, Weight,
                            builtin_datum, canonical_isomorphism,
@@ -9,9 +10,49 @@ from crystalgraphs import (Convention, Crystal, CrystalContext, Weight,
                            crystal_from_dict, crystal_from_file,
                            extremal_element, tensor, tensor_component,
                            trivial_crystal, weyl_action, weyl_action_word)
-from crystalgraphs.crystal import _tensor_phi_eps
+from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
+
+
+# -- the reference tensor rule: the two-factor rule folded left-associatively
+
+def _ref_phi_eps(factors, conv, elem, i):
+    """String lengths of a tensor element, folded left to right."""
+    phi = factors[0].phi(i, elem[0])
+    eps = factors[0].epsilon(i, elem[0])
+    for c, b in zip(factors[1:], elem[1:]):
+        p2, e2 = c.phi(i, b), c.epsilon(i, b)
+        if conv is Convention.HONG_KANG:
+            phi, eps = p2 + max(0, phi - e2), eps + max(0, e2 - phi)
+        else:
+            phi, eps = phi + max(0, p2 - eps), e2 + max(0, eps - p2)
+    return phi, eps
+
+
+def _ref_apply(factors, conv, elem, i, lower):
+    """A Kashiwara operator on (prefix) (x) (last factor), recursively."""
+    if len(elem) == 1:
+        b2 = factors[0].f(i, elem[0]) if lower else factors[0].e(i, elem[0])
+        return None if b2 is None else (b2,)
+    phi_p, eps_p = _ref_phi_eps(factors[:-1], conv, elem[:-1], i)
+    last_c, last_b = factors[-1], elem[-1]
+    if conv is Convention.HONG_KANG:
+        act_left = phi_p > last_c.epsilon(i, last_b) if lower \
+            else phi_p >= last_c.epsilon(i, last_b)
+    else:
+        act_right = last_c.phi(i, last_b) > eps_p if lower \
+            else last_c.phi(i, last_b) >= eps_p
+        act_left = not act_right
+    if act_left:
+        res = _ref_apply(factors[:-1], conv, elem[:-1], i, lower)
+        return None if res is None else res + (last_b,)
+    b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
+    return None if b2 is None else elem[:-1] + (b2,)
+
+
+ORACLE_CONTEXTS = {(name, conv): CrystalContext(builtin_datum(name), conv)
+                   for name in ("A2", "A3", "C2") for conv in Convention}
 
 
 def test_type_a_fundamentals(a2):
@@ -114,9 +155,40 @@ def test_tensor_phi_eps_closed_form_matches_walk(a2, c2_opp):
         P = tensor(factors, ctx.convention)
         for elem in P.elements:
             for i in ctx.datum.indices:
-                phi, eps = _tensor_phi_eps(factors, ctx.convention, elem, i)
+                phi, eps = _ref_phi_eps(factors, ctx.convention, elem, i)
                 assert phi == P.phi(i, elem)
                 assert eps == P.epsilon(i, elem)
+
+
+def test_signature_rule_matches_reference_fold():
+    # every element, index and direction of every product of at most 3
+    # fundamentals, one pass against the recursive two-factor fold
+    for (name, conv), ctx in ORACLE_CONTEXTS.items():
+        for length in (1, 2, 3):
+            for funds in product(ctx.datum.indices, repeat=length):
+                factors = tuple(ctx.fundamental(i) for i in funds)
+                for i in ctx.datum.indices:
+                    for lower in (True, False):
+                        rule = _tensor_rule(factors, conv, i, lower)
+                        for elem in product(*(c.elements for c in factors)):
+                            assert (_tensor_apply(rule, elem)
+                                    == _ref_apply(factors, conv, elem, i, lower)), \
+                                (name, conv.value, funds, elem, i, lower)
+
+
+@given(st.data())
+def test_signature_rule_matches_reference_fold_random(data):
+    # random elements of larger products, 4 to 7 fundamental factors
+    ctx = data.draw(st.sampled_from(list(ORACLE_CONTEXTS.values())))
+    indices = ctx.datum.indices
+    funds = data.draw(st.lists(st.sampled_from(indices), min_size=4, max_size=7))
+    factors = tuple(ctx.fundamental(i) for i in funds)
+    elem = tuple(data.draw(st.sampled_from(c.elements)) for c in factors)
+    i = data.draw(st.sampled_from(indices))
+    lower = data.draw(st.booleans())
+    rule = _tensor_rule(factors, ctx.convention, i, lower)
+    assert (_tensor_apply(rule, elem)
+            == _ref_apply(factors, ctx.convention, elem, i, lower))
 
 
 def test_weyl_action_examples(a2):
@@ -171,10 +243,27 @@ def test_tensor_component_matches_full_product_component():
                 lazy = tensor_component(factors, convention)
                 full = cartan_component(tensor(factors, convention))
                 assert set(lazy.elements) == set(full.elements), case
+                assert all(lazy.wt(b) == full.wt(b) for b in full.elements), case
                 for i in indices:
                     assert all(lazy.f(i, b) == full.f(i, b)
                                for b in full.elements), (case, i)
                 lazy.validate()
+
+
+def test_weyl_dimension_matches_built_sizes():
+    for name, bound in (("A2", (2, 2)), ("C2", (2, 2)), ("A3", (1, 1, 1))):
+        ctx = CrystalContext(builtin_datum(name))
+        for lam in product(*(range(b + 1) for b in bound)):
+            assert ctx.datum.dimension(Weight(lam)) == len(ctx.weight_crystal(lam))
+    assert builtin_datum("A5").dimension(Weight((1,) * 5)) == 32768
+    assert builtin_datum("A3").dimension(Weight((2, 2, 2))) == 729
+
+
+def test_weight_crystal_refuses_oversized_crystals(monkeypatch):
+    ctx = CrystalContext(builtin_datum("A6"))
+    monkeypatch.setattr(CrystalContext, "cartan_of", None)  # nothing is built
+    with pytest.raises(ValueError, match="2,097,152 elements"):
+        ctx.rho_crystal()
 
 
 def test_canonical_isomorphism(a2):

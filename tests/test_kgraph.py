@@ -142,10 +142,11 @@ def _component_image(kg, p, q):
     return None if image is None else KPath(p.vertex, image, degree)
 
 
-ORACLE_CASES = [(name, conv) for name in ("A2", "C2") for conv in Convention]
-
-# (pairs, pairs off the Cartan component), the same under both conventions
-OFF_COMPONENT = {"A2": (795, 330), "C2": (3224, 1816)}
+# degree bound and (pairs, pairs off the Cartan component), the same under
+# both conventions
+ORACLE_BOUNDS = {"A2": ((1, 1), (795, 330)), "C2": ((1, 1), (3224, 1816)),
+                 "A3": ((1, 0, 1), (7008, 3514))}
+ORACLE_CASES = [(name, conv) for name in ORACLE_BOUNDS for conv in Convention]
 
 
 @pytest.mark.parametrize("name,conv", ORACLE_CASES)
@@ -154,9 +155,10 @@ def test_compose_matches_component_route(name, conv):
     # covers every composable pair of enumerated paths, and products that
     # leave the Cartan component although no braiding of the sort gives 0
     kg = KGraph(CrystalContext(builtin_datum(name), conv))
+    bound, counts = ORACLE_BOUNDS[name]
     pairs = off = 0
-    for p in kg.enumerate_paths((1, 1)):
-        for d in kg.degrees_up_to((1, 1)):
+    for p in kg.enumerate_paths(bound):
+        for d in kg.degrees_up_to(bound):
             for b in kg.ctx.weight_crystal(d).elements:
                 q = KPath(kg.source(p), b, d)
                 want = _component_image(kg, p, q)
@@ -167,7 +169,7 @@ def test_compose_matches_component_route(name, conv):
                         kg.compose(p, q)
                 else:
                     assert kg.compose(p, q) == want
-    assert (pairs, off) == OFF_COMPONENT[name]
+    assert (pairs, off) == counts
 
 
 def test_axioms_build_only_sorted_components(monkeypatch):

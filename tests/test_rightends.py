@@ -19,6 +19,34 @@ def test_chain_on_known_pair(a2):
     assert apply_chain(a2, (1, 2), (A1_, B3_), 1) is None
 
 
+def _chain_step_by_step(ctx, funds, elem, k):
+    """apply_chain one braiding at a time, each table fetched when read."""
+    funds, elem = list(funds), list(elem)
+    for pos in range(k - 1, len(elem) - 1):
+        out = ctx.braiding(funds[pos], funds[pos + 1])[(elem[pos], elem[pos + 1])]
+        if out is None:
+            return None
+        elem[pos], elem[pos + 1] = out
+        funds[pos], funds[pos + 1] = funds[pos + 1], funds[pos]
+    return tuple(funds), tuple(elem)
+
+
+def test_cached_chains_match_step_by_step():
+    # the cached (plan, moved factors) of every start, on every element of
+    # a product whose factor list repeats and is out of order
+    for name, convention in (("A2", Convention.HONG_KANG),
+                             ("C2", Convention.OPPOSITE)):
+        ctx = CrystalContext(builtin_datum(name), convention)
+        funds = (2, 1, 2)
+        P = tensor([ctx.fundamental(i) for i in funds], convention)
+        for elem in P.elements:
+            for k in (1, 2, 3):
+                assert (apply_chain(ctx, funds, elem, k)
+                        == _chain_step_by_step(ctx, funds, elem, k)), (name, elem, k)
+        with pytest.raises(IndexError):
+            apply_chain(ctx, funds, P.elements[0], 4)
+
+
 def test_right_end_tuple_examples(a2):
     assert right_end_tuple(a2, (A3_, B1_)) == (A2_, B1_)
     assert right_end_tuple(a2, (A1_, B1_)) == (A1_, B1_)

@@ -172,8 +172,8 @@ def _apply_reading_op(ctx, skew, i, lower):
     """A crystal operator through the column reading, back onto the shape."""
     word = column_reading(skew)
     factors = (ctx.fundamental(1),) * len(word)
-    from crystalgraphs.crystal import _tensor_apply
-    res = _tensor_apply(factors, ctx.convention, word, i, lower)
+    from crystalgraphs.crystal import _tensor_apply, _tensor_rule
+    res = _tensor_apply(_tensor_rule(factors, ctx.convention, i, lower), word)
     if res is None:
         return None
     values = [v[0] for v in res]
