@@ -56,6 +56,7 @@ class Crystal:
             raise ValueError(f"{name}: duplicate element ids")
         self._desc: dict = {}
         self._strings: dict[int, dict] = {}
+        self._hw = None
         if validate:
             self.validate()
 
@@ -143,10 +144,14 @@ class Crystal:
                      if all(self.epsilon(i, b) == 0 for i in self.datum.indices))
 
     def hw_element(self):
-        hws = self.highest_weight_elements()
-        if len(hws) != 1:
-            raise ValueError(f"{self.name} has {len(hws)} highest weight elements")
-        return hws[0]
+        """The unique highest weight element, found once; raises if there
+        is none or more than one."""
+        if self._hw is None:
+            hws = self.highest_weight_elements()
+            if len(hws) != 1:
+                raise ValueError(f"{self.name} has {len(hws)} highest weight elements")
+            self._hw = hws[0]
+        return self._hw
 
     @property
     def highest_weight(self) -> Weight:

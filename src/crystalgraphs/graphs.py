@@ -47,9 +47,6 @@ class ColoredDigraph:
             out[trip] = out.get(trip, 0) + 1
         return out
 
-    def edge_triples(self) -> frozenset[tuple]:
-        return frozenset((e.src, e.dst, e.color) for e in self.edges)
-
     # -- export ------------------------------------------------------------
 
     def to_json(self, vertex_str: Callable[[Hashable], str] = str,

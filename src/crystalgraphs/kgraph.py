@@ -201,15 +201,6 @@ class KGraph:
                 edges.append(Edge(self.source(p), p.vertex, i, key=p.element))
         return ColoredDigraph(self._vertices, edges, name="skeleton")
 
-    def path_json(self, p: KPath, element_str=str) -> dict:
-        """Wire form of a path: vertex, element, degree, and derived source."""
-        return {
-            "vertex": [element_str(x) for x in p.vertex],
-            "element": element_str(p.element),
-            "degree": list(p.degree),
-            "source": [element_str(x) for x in self.source(p)],
-        }
-
     # -- the factorization axiom ------------------------------------------------
 
     def factorization_check(self, p: KPath, m, n) -> tuple[KPath, KPath]:

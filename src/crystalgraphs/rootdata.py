@@ -36,9 +36,6 @@ class Weight:
     def __rmul__(self, k: int) -> "Weight":
         return Weight(tuple(k * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __repr__(self) -> str:
         return f"Weight{self.coords}"
 

@@ -7,6 +7,8 @@ messages; an empty failure list is the pass condition.  The suites back the
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product as iterproduct
 
@@ -24,7 +26,6 @@ from .rootdata import builtin_datum, resolve_datum
 from .tableaux import (SkewTableau, Tableau, braid_columns, enumerate_ssyt,
                        from_crystal, is_key, left_key, right_ends_via_slides,
                        right_key)
-from .weyl import WeylGroup
 
 
 @dataclass
@@ -55,6 +56,18 @@ class Report:
             "failures": list(self.failures),
             "details": dict(self.details),
         }
+
+
+def json_count(n: int):
+    """A nonnegative count as JSON: the integer itself while its decimal form
+    fits the interpreter's int-to-str limit, else its exact hexadecimal form
+    (exempt from the limit; ``int(value["hex"], 16)`` gives n back) and its
+    log10."""
+    # the limit exists from Python 3.10.7 on; 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or n < 10 ** limit:
+        return n
+    return {"hex": hex(n), "log10": math.log10(n)}
 
 
 def _lambdas(ctx) -> list:
@@ -364,7 +377,7 @@ def suite_embeddings(algebra: str = "A2", convention="hong-kang",
     # every compatible coloring embeds: one pass over the (edge, color)
     # pairs, with the first coloring embedded whole as a witness
     colorings = enumerate_compatible_colorings(kg, bound)
-    rep.details["compatible_colorings"] = colorings.count
+    rep.details["compatible_colorings"] = json_count(colorings.count)
     rep.details["bruhat_edge_colors"] = sum(map(len, colorings.pools))
     if colorings.count:
         try:
@@ -472,8 +485,8 @@ def suite_lemmas(**_config) -> Report:
     for name in ("A2", "C2"):
         ctx = CrystalContext(builtin_datum(name))
         datum = ctx.datum
-        W = WeylGroup.generate(datum)
         kg = KGraph(ctx)
+        W = kg.weyl_group
         lambdas = _lambdas(ctx)
         crystals = {lam: ctx.weight_crystal(lam) for lam in lambdas}
         ext = {lam: {w: extremal_element(crystals[lam], w) for w in W}

@@ -3,6 +3,10 @@
 Group elements are identified by their fingerprint w(rho).  Since rho is a
 regular weight this action is faithful, so no word rewriting is needed; each
 element stores one reduced word found during breadth-first generation.
+
+Generation also records the neighbour table w -> (s_1 w, ..., s_r w).  All
+later arithmetic walks that table, one letter at a time; no weight is
+touched once the group is built.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ class WeylElement:
 
 
 class WeylGroup:
-    def __init__(self, datum: RootDatum, elements, by_fp):
+    def __init__(self, datum: RootDatum, elements, by_fp, left, reflection_roots):
         self.datum = datum
         self.elements = elements
         self._by_fp = by_fp
-        self._reflection_roots: dict[WeylElement, RootVector] | None = None
+        self._left = left
+        self._reflection_roots = reflection_roots
+        self._bruhat: ColoredDigraph | None = None
         self._reach: dict[WeylElement, frozenset] | None = None
 
     @classmethod
@@ -39,25 +45,33 @@ class WeylGroup:
         """Breadth-first closure over fingerprints, starting from the identity.
 
         Words grow by left multiplication, so every stored word is reduced.
+        Each element's row of left neighbours s_i w is kept as it is found.
         """
         rho = datum.rho()
         identity = WeylElement(rho, ())
         by_fp = {rho: identity}
+        left: dict[WeylElement, tuple[WeylElement, ...]] = {}
         frontier = [identity]
         while frontier:
             nxt = []
             for w in frontier:
+                row = []
                 for i in datum.indices:
                     fp = datum.reflect_weight(i, w.fingerprint)
-                    if fp not in by_fp:
-                        el = WeylElement(fp, (i,) + w.word)
-                        by_fp[fp] = el
+                    el = by_fp.get(fp)
+                    if el is None:
+                        el = by_fp[fp] = WeylElement(fp, (i,) + w.word)
                         nxt.append(el)
+                    row.append(el)
+                left[w] = tuple(row)
             if len(by_fp) > cap:
                 raise ValueError(f"group size exceeds cap {cap}; is the datum finite type?")
             frontier = nxt
         elements = tuple(sorted(by_fp.values(), key=lambda w: (w.length, w.word)))
-        return cls(datum, elements, by_fp)
+        # the reflection t_gamma, keyed to its positive root gamma
+        reflection_roots = {by_fp[datum.reflect_by_root(gamma, rho)]: gamma
+                            for gamma in datum.positive_roots()}
+        return cls(datum, elements, by_fp, left, reflection_roots)
 
     def __len__(self):
         return len(self.elements)
@@ -77,106 +91,75 @@ class WeylGroup:
 
     @property
     def identity(self) -> WeylElement:
-        return self._by_fp[self.datum.rho()]
+        return self.elements[0]
 
     @property
     def longest(self) -> WeylElement:
-        top = max(w.length for w in self.elements)
+        top = self.elements[-1].length
         cands = [w for w in self.elements if w.length == top]
         if len(cands) != 1:
             raise ValueError("no unique longest element")
         return cands[0]
 
     def simple(self, i: int) -> WeylElement:
-        return self._by_fp[self.datum.reflect_weight(i, self.datum.rho())]
+        return self.element_from_word((i,))
 
-    # -- the action and arithmetic -----------------------------------------
+    # -- arithmetic on the neighbour table --------------------------------------
 
-    def act_on_weight(self, w: WeylElement, lam: Weight) -> Weight:
-        for i in reversed(w.word):
-            lam = self.datum.reflect_weight(i, lam)
-        return lam
-
-    def act_on_root(self, w: WeylElement, gamma: RootVector) -> RootVector:
-        for i in reversed(w.word):
-            gamma = self.datum.reflect_root(i, gamma)
-        return gamma
+    def _walk(self, word, w: WeylElement) -> WeylElement:
+        """s_{a_1} ... s_{a_k} w for word = (a_1, ..., a_k), rightmost letter first."""
+        left = self._left
+        for i in reversed(word):
+            w = left[w][i - 1]
+        return w
 
     def element_from_word(self, word) -> WeylElement:
-        lam = self.datum.rho()
-        for i in reversed(tuple(word)):
-            lam = self.datum.reflect_weight(i, lam)
-        return self._by_fp[lam]
+        word = tuple(word)
+        rank = self.datum.rank
+        for i in word:
+            if not 1 <= i <= rank:
+                raise IndexError(f"index {i} outside 1..{rank}")
+        return self._walk(word, self.identity)
 
     def multiply(self, u: WeylElement, w: WeylElement) -> WeylElement:
         self._check(u)
         self._check(w)
-        return self._by_fp[self.act_on_weight(u, w.fingerprint)]
+        return self._walk(u.word, w)
 
     def inverse(self, w: WeylElement) -> WeylElement:
         self._check(w)
-        lam = self.datum.rho()
-        for i in w.word:
-            lam = self.datum.reflect_weight(i, lam)
-        return self._by_fp[lam]
+        return self._walk(w.word[::-1], self.identity)
 
     def length(self, w: WeylElement) -> int:
         self._check(w)
         return w.length
 
-    def inversion_length(self, w: WeylElement) -> int:
-        """Count positive roots sent to negative ones; equals length(w)."""
-        count = 0
-        for gamma in self.datum.positive_roots():
-            image = self.act_on_root(w, gamma)
-            if all(c <= 0 for c in image.coords):
-                count += 1
-        return count
-
     # -- reflections ---------------------------------------------------------
 
     def reflection_roots(self) -> dict[WeylElement, RootVector]:
         """The reflections t_gamma, keyed to their positive roots."""
-        if self._reflection_roots is None:
-            rho = self.datum.rho()
-            table = {}
-            for gamma in self.datum.positive_roots():
-                t = self._by_fp[self.datum.reflect_by_root(gamma, rho)]
-                table[t] = gamma
-            self._reflection_roots = table
         return self._reflection_roots
 
     def reflections(self) -> tuple[WeylElement, ...]:
-        table = self.reflection_roots()
+        table = self._reflection_roots
         return tuple(sorted(table, key=lambda t: table[t].coords))
-
-    def positive_root_of(self, t: WeylElement) -> RootVector:
-        try:
-            return self.reflection_roots()[t]
-        except KeyError:
-            raise ValueError(f"{t!r} is not a reflection") from None
 
     # -- Bruhat and weak graphs -----------------------------------------------
 
-    def bruhat_graph(self, left: bool = False) -> ColoredDigraph:
-        """Edges u -> ut for t a reflection with l(ut) > l(u), colored by the root of t.
-
-        With left=True the edges are built as u -> tu instead and recolored by
-        the right reflection u^{-1}tu; the resulting edge set is identical.
-        """
-        edges = []
-        refl = self.reflection_roots()
-        for u in self.elements:
-            for t in self.reflections():
-                if left:
-                    w = self.multiply(t, u)
-                    color = self.positive_root_of(self.multiply(self.inverse(u), w))
-                else:
+    def bruhat_graph(self) -> ColoredDigraph:
+        """Edges u -> ut for t a reflection with l(ut) > l(u), colored by the
+        root of t; built on first use."""
+        if self._bruhat is None:
+            edges = []
+            refl = self._reflection_roots
+            reflections = self.reflections()
+            for u in self.elements:
+                for t in reflections:
                     w = self.multiply(u, t)
-                    color = refl[t]
-                if w.length > u.length:
-                    edges.append(Edge(u, w, color))
-        return ColoredDigraph(self.elements, edges, name="bruhat")
+                    if w.length > u.length:
+                        edges.append(Edge(u, w, refl[t]))
+            self._bruhat = ColoredDigraph(self.elements, edges, name="bruhat")
+        return self._bruhat
 
     def right_weak_graph(self) -> ColoredDigraph:
         edges = []
@@ -205,48 +188,10 @@ class WeylGroup:
             for e in self.bruhat_graph().edges:
                 succ[e.src].append(e.dst)
             reach: dict[WeylElement, frozenset] = {}
-            for x in sorted(self.elements, key=lambda y: -y.length):
+            for x in reversed(self.elements):
                 acc = {x}
                 for y in succ[x]:
                     acc.update(reach[y])
                 reach[x] = frozenset(acc)
             self._reach = reach
         return w in self._reach[u]
-
-    # -- reduced-word surgery ---------------------------------------------
-
-    def removal_sequence(self, w: WeylElement, w2: WeylElement) -> tuple[int, ...]:
-        """Decreasing 1-based positions to delete from w's stored reduced word.
-
-        Each intermediate word stays reduced and the final word evaluates to
-        w2.  Among all valid decreasing sequences the lexicographically
-        largest one is returned.
-        """
-        self._check(w)
-        self._check(w2)
-        if w == w2:
-            return ()
-        if not self.bruhat_leq(w2, w):
-            raise ValueError(f"{w!r} is not above {w2!r} in the Bruhat order")
-        m = w.length - w2.length
-        start = [(pos + 1, letter) for pos, letter in enumerate(w.word)]
-
-        def search(current, bound, picked):
-            if len(picked) == m:
-                if self.element_from_word([l for _, l in current]) == w2:
-                    return tuple(picked)
-                return None
-            for pos in sorted((p for p, _ in current if p < bound), reverse=True):
-                nxt = [(p, l) for p, l in current if p != pos]
-                el = self.element_from_word([l for _, l in nxt])
-                if el.length != len(nxt) or not self.bruhat_leq(w2, el):
-                    continue
-                found = search(nxt, pos, picked + [pos])
-                if found is not None:
-                    return found
-            return None
-
-        found = search(start, w.length + 1, [])
-        if found is None:
-            raise ValueError("no reduced removal sequence found")
-        return found

@@ -230,3 +230,17 @@ def test_exit_code_table(code, tampered, argv, tmp_path):
         assert proc.stderr.startswith("error: ")
     else:
         assert bool(json.loads(proc.stdout)["failures"]) == (code == 1)
+
+
+@pytest.mark.slow
+def test_a5_embeddings_report_is_json():
+    # 2**14400 compatible colorings: 4,335 decimal digits, past the default
+    # int-to-str limit, so the count is written in hexadecimal
+    proc = run_process("verify", "--suite", "embeddings", "--algebra", "A5")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["failures"] == []
+    assert report["instances_checked"] == 92884
+    count = report["details"]["compatible_colorings"]
+    assert int(count["hex"], 16) == 2 ** 14400

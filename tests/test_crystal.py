@@ -82,6 +82,27 @@ def test_string_lengths(a2, c2):
     assert all(a2.rho_crystal().epsilon(i, hw) == 0 for i in (1, 2))
 
 
+def test_hw_element_found_once(a2, monkeypatch):
+    B = a2.weight_crystal((1, 1))
+    hw = B.hw_element()
+    assert B.highest_weight_elements() == (hw,)
+
+    def scan():
+        raise AssertionError("scanned the crystal again")
+
+    monkeypatch.setattr(B, "highest_weight_elements", scan)
+    assert B.hw_element() is hw
+
+
+def test_hw_element_raises_on_every_call(a2):
+    full = tensor((a2.fundamental(1), a2.fundamental(2)), a2.convention)
+    empty = Crystal(a2.datum, [], {}, {}, name="empty")
+    for crystal, count in ((full, 2), (empty, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"has {count} highest"):
+                crystal.hw_element()
+
+
 def test_c2_fundamental_chains(c2):
     c_w1 = c2.fundamental(1)
     assert [c_w1.f(i, b) for i, b in ((1, "a1"), (2, "a2"), (1, "a3"))] == \
@@ -218,7 +239,7 @@ def test_extremal_elements(a2, a2_weyl):
             == weyl_action_word(B, (2, 1, 2), B.hw_element()))
     for w in a2_weyl:
         b = extremal_element(B, w)
-        assert B.wt(b) == a2_weyl.act_on_weight(w, a2.datum.rho())
+        assert B.wt(b) == w.fingerprint   # w(rho)
 
 
 def test_cartan_component_sizes(a2, c2_opp):
@@ -296,7 +317,7 @@ def test_braiding_general_equals_fundamental_table(a2):
 def test_trivial_crystal(a2):
     B = trivial_crystal(a2.datum)
     assert B.elements == ((),)
-    assert B.wt(()).is_zero()
+    assert B.wt(()) == a2.datum.zero_weight()
     assert a2.weight_crystal((0, 0)) is a2.cartan_of(())
 
 

@@ -206,14 +206,6 @@ def test_a4_vertices_and_keys():
         assert left_key(from_crystal(b)).columns == tuple(reversed(ends))
 
 
-def test_path_json(a2_kg):
-    from crystalgraphs.cli import element_str
-    p = a2_kg.path(wv(a2_kg, 1), (A1_,), (1, 0))
-    data = a2_kg.path_json(p, element_str)
-    assert data == {"vertex": ["2", "12"], "element": "(1)",
-                    "degree": [1, 0], "source": ["1", "12"]}
-
-
 def test_skeleton_json_and_dot(a2_kg):
     skel = a2_kg.skeleton()
     data = skel.to_json(show_loops=False)

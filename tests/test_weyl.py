@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,60 @@ from crystalgraphs.weyl import WeylGroup
 A2 = WeylGroup.generate(builtin_datum("A2"))
 C2 = WeylGroup.generate(builtin_datum("C2"))
 A1 = WeylGroup.generate(builtin_datum("A1"))
+A3 = WeylGroup.generate(builtin_datum("A3"))
 
 
 def el(group, *word):
     return group.element_from_word(word)
+
+
+def triples(graph):
+    return set(graph.edge_multiset())
+
+
+# -- oracles: the Weyl action by weight and root reflections, letter by letter
+
+
+def act_on_weight(group, word, lam):
+    """s_{a_1} ... s_{a_k} lam, rightmost letter first."""
+    for i in reversed(tuple(word)):
+        lam = group.datum.reflect_weight(i, lam)
+    return lam
+
+
+def act_on_root(group, w, gamma):
+    for i in reversed(w.word):
+        gamma = group.datum.reflect_root(i, gamma)
+    return gamma
+
+
+def positive_root_of(group, t):
+    return group.reflection_roots()[t]
+
+
+def inversion_length(group, w):
+    """Count positive roots sent to negative ones; equals length(w)."""
+    return sum(all(c <= 0 for c in act_on_root(group, w, gamma).coords)
+               for gamma in group.datum.positive_roots())
+
+
+def left_bruhat_triples(group):
+    """Edges u -> tu with l(tu) > l(u), colored by the right reflection u^{-1}tu."""
+    out = set()
+    for u in group:
+        for t in group.reflections():
+            w = group.multiply(t, u)
+            if w.length > u.length:
+                right = group.multiply(group.inverse(u), w)
+                out.add((u, w, positive_root_of(group, right)))
+    return out
+
+
+def by_fingerprint(group, lam):
+    return next(w for w in group if w.fingerprint == lam)
+
+
+# -- the tests
 
 
 def test_group_orders():
@@ -33,20 +85,48 @@ def test_lengths_and_multiplication():
     assert A2.multiply(el(A2, 1, 2), A2.inverse(el(A2, 1, 2))) == A2.identity
 
 
+@pytest.mark.parametrize("name", ["A3", "A4", "C2"])
+def test_table_matches_fingerprint_route(name):
+    # every product, inverse and word evaluation agrees with reflecting rho
+    # letter by letter; A4 has 14,400 pairs
+    group = WeylGroup.generate(builtin_datum(name))
+    rho = group.datum.rho()
+    for w in group:
+        assert w.fingerprint == act_on_weight(group, w.word, rho)
+        inv = group.inverse(w)
+        assert inv in group
+        assert inv.fingerprint == act_on_weight(group, w.word[::-1], rho)
+    for u, w in product(group, group):
+        want = act_on_weight(group, u.word, w.fingerprint)
+        uw = group.multiply(u, w)
+        assert uw in group and uw.fingerprint == want
+        assert group.element_from_word(u.word + w.word) is uw
+
+
+@pytest.mark.parametrize("word", [(0,), (3,), (1, 0), (2, 3, 1), (-1,)])
+def test_letter_outside_rank_raises(word):
+    # a table index i - 1 = -1 would wrap around to s_r
+    with pytest.raises(IndexError):
+        A2.element_from_word(word)
+    bad = next(i for i in word if not 1 <= i <= 2)
+    with pytest.raises(IndexError):
+        A2.simple(bad)
+
+
 def test_length_equals_inversion_count():
-    for group in (A2, C2, WeylGroup.generate(builtin_datum("A3"))):
+    for group in (A2, C2, A3):
         for w in group:
-            assert group.inversion_length(w) == w.length
+            assert inversion_length(group, w) == w.length
 
 
 def test_descent_criterion():
     # l(s_i w) > l(w) iff w^{-1} a_i is positive
-    for group in (A2, C2, WeylGroup.generate(builtin_datum("A3"))):
+    for group in (A2, C2, A3):
         datum = group.datum
         for w in group:
             winv = group.inverse(w)
             for i in datum.indices:
-                image = group.act_on_root(winv, datum.simple_root(i))
+                image = act_on_root(group, winv, datum.simple_root(i))
                 longer = group.multiply(group.simple(i), w).length > w.length
                 assert longer == all(c >= 0 for c in image.coords)
 
@@ -59,33 +139,38 @@ def test_reflections():
     for group in (A2, C2):
         for t in group.reflections():
             assert group.multiply(t, t) == group.identity
-            gamma = group.positive_root_of(t)
+            gamma = positive_root_of(group, t)
             lam = group.datum.rho()
-            assert group.act_on_weight(t, lam) == group.datum.reflect_by_root(gamma, lam)
+            assert (act_on_weight(group, t.word, lam)
+                    == group.datum.reflect_by_root(gamma, lam))
 
 
 def test_bruhat_graph_a2():
     graph = A2.bruhat_graph()
     assert len(graph.edges) == 9
-    long_root = A2.positive_root_of(el(A2, 1, 2, 1))
-    assert (A2.identity, el(A2, 1, 2, 1), long_root) in graph.edge_triples()
+    long_root = positive_root_of(A2, el(A2, 1, 2, 1))
+    assert (A2.identity, el(A2, 1, 2, 1), long_root) in triples(graph)
     # s_1^{-1} (s_1 s_2 s_1) = s_2 s_1 is not a reflection
     assert not any(e.src == el(A2, 1) and e.dst == el(A2, 1, 2, 1)
                    for e in graph.edges)
 
 
+def test_bruhat_graph_built_once():
+    group = WeylGroup.generate(builtin_datum("A2"))
+    assert group.bruhat_graph() is group.bruhat_graph()
+
+
 def test_bruhat_graph_left_right_agree():
-    for group in (A2, C2):
-        assert (group.bruhat_graph().edge_triples()
-                == group.bruhat_graph(left=True).edge_triples())
+    for group in (A2, C2, A3):
+        assert triples(group.bruhat_graph()) == left_bruhat_triples(group)
 
 
 def test_weak_graphs():
     right = A2.right_weak_graph()
     left = A2.left_weak_graph()
-    assert (el(A2, 2), el(A2, 2, 1), 1) in right.edge_triples()
+    assert (el(A2, 2), el(A2, 2, 1), 1) in triples(right)
     # w = s_2 s_1 s_2 arises from s_1 s_2 by left multiplication with s_2
-    assert (el(A2, 1, 2), el(A2, 2, 1, 2), 2) in left.edge_triples()
+    assert (el(A2, 1, 2), el(A2, 2, 1, 2), 2) in triples(left)
     bruhat_pairs = {(e.src, e.dst) for e in A2.bruhat_graph().edges}
     for graph in (right, left):
         assert {(e.src, e.dst) for e in graph.edges} <= bruhat_pairs
@@ -98,8 +183,7 @@ def test_weak_graphs():
 
 
 def test_rank_one_weak_graphs_coincide():
-    assert (A1.right_weak_graph().edge_triples()
-            == A1.left_weak_graph().edge_triples())
+    assert triples(A1.right_weak_graph()) == triples(A1.left_weak_graph())
 
 
 def test_bruhat_leq():
@@ -109,40 +193,12 @@ def test_bruhat_leq():
     assert not A2.bruhat_leq(el(A2, 1), el(A2, 2))
 
 
-def test_removal_sequence_examples():
-    w0 = el(A2, 1, 2, 1)
-    assert A2.removal_sequence(w0, w0) == ()
-    assert A2.removal_sequence(w0, el(A2, 1, 2)) == (3,)
-    seq = A2.removal_sequence(w0, A2.identity)
-    assert len(seq) == 3 and seq[0] > seq[1] > seq[2]
-    with pytest.raises(ValueError):
-        A2.removal_sequence(el(A2, 1), el(A2, 2))
-
-
-def test_removal_sequence_validity_everywhere():
-    for group in (A2, C2):
-        for w in group:
-            for w2 in group:
-                if w == w2 or not group.bruhat_leq(w2, w):
-                    continue
-                seq = group.removal_sequence(w, w2)
-                assert len(seq) == w.length - w2.length
-                assert all(a > b for a, b in zip(seq, seq[1:]))
-                removed = set()
-                for pos in seq:
-                    # positions refer to the original word; every stage is reduced
-                    removed.add(pos)
-                    word = [l for n, l in enumerate(w.word, start=1)
-                            if n not in removed]
-                    assert group.element_from_word(word).length == len(word)
-                assert group.element_from_word(word) == w2
-
-
 @given(st.lists(st.sampled_from([1, 2]), max_size=8))
 def test_word_evaluation_consistent(word):
     w = C2.element_from_word(word)
     assert w.length <= len(word)
     assert C2.element_from_word(w.word) == w
+    assert w is by_fingerprint(C2, act_on_weight(C2, word, C2.datum.rho()))
 
 
 def test_mixed_group_rejected():
