@@ -11,8 +11,7 @@ from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,
 from .graphs import ColoredDigraph, Edge
 from .kgraph import KGraph, KPath
 from .rightends import (apply_chain, in_cartan_component, right_end_chain,
-                        right_end_inclusion, right_end_tuple,
-                        source_identity_holds)
+                        right_end_inclusion, right_end_tuple)
 from .rootdata import (NonFiniteTypeError, RootDatum, RootVector, Weight,
                        builtin_datum, datum_from_dict, load_datum,
                        resolve_datum)

@@ -8,8 +8,8 @@ the skeleton, exhaustive enumeration and the factorization axiom live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iterproduct
+from typing import NamedTuple
 
 from .crystal import CrystalContext, extremal_element
 from .graphs import ColoredDigraph, Edge
@@ -18,8 +18,7 @@ from .rightends import (apply_plan, braid_plan, in_cartan_component,
 from .weyl import WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
-class KPath:
+class KPath(NamedTuple):
     """A path (v, b): range vertex v, element b of B(degree), flat-tuple form."""
 
     vertex: tuple
@@ -100,9 +99,6 @@ class KGraph:
         if not self.is_path(v, element, lam):
             raise ValueError(f"({v!r}, {element!r}) is not a path of degree {lam.coords}")
         return KPath(v, tuple(element), lam.coords)
-
-    def identity_path(self, v: tuple) -> KPath:
-        return self.path(v, (), self.ctx.weight((0,) * self.datum.rank))
 
     def range(self, p: KPath) -> tuple:
         return p.vertex

@@ -142,23 +142,3 @@ def right_end_inclusion(ctx: CrystalContext, crystal: Crystal, b, mu):
     comp = cartan_component(pair)
     iso = canonical_isomorphism(crystal, comp)
     return iso[b][1]
-
-
-def source_identity_holds(ctx: CrystalContext, c_elem, lam, b_elem) -> bool:
-    """Check R_i(c (x) b) = R_i(c_i (x) b) for all i, for c in B(rho).
-
-    c is given by its flat tuple in the fundamentals realization of B(rho)
-    and b by its flat tuple in the realization of B(lam).
-    """
-    lam_funds = ctx.fundamental_indices(lam)
-    rho_funds = tuple(ctx.datum.indices)
-    whole_funds = rho_funds + lam_funds
-    whole = tuple(c_elem) + tuple(b_elem)
-    tuple_ends = right_end_tuple(ctx, c_elem)
-    for i in ctx.datum.indices:
-        lhs = right_end_chain(ctx, whole_funds, whole, i)
-        rhs = right_end_chain(ctx, (i,) + lam_funds,
-                              (tuple_ends[i - 1],) + tuple(b_elem), 1)
-        if lhs != rhs or lhs is None:
-            return False
-    return True

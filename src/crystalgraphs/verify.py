@@ -19,7 +19,7 @@ from .crystal import (Convention, CrystalContext, as_convention,
 from .embeddings import (check_bruhat_colorings, count_weak_embeddings,
                          embed_bruhat, embed_right_weak,
                          enumerate_compatible_colorings)
-from .kgraph import KGraph
+from .kgraph import KGraph, KPath
 from .rightends import (apply_plan, braid_plan, in_cartan_component,
                         right_end_chain, right_end_tuple)
 from .rootdata import builtin_datum, resolve_datum
@@ -295,11 +295,12 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 funds = rho_funds + ctx.fundamental_indices(lam)
                 for b in ctx.weight_crystal(lam).elements:
                     member = in_cartan_component(ctx, funds, c + b)
-                    rep.check(member == kg.is_path(v, b, lam),
+                    is_path = kg.is_path(v, b, lam)
+                    rep.check(member == is_path,
                               "path test at %s depends on the representative "
                               "%s", v, c)
-                    if member:
-                        p = kg.path(v, b, lam)
+                    if member and is_path:
+                        p = KPath(v, b, lam.coords)
                         ends = tuple(right_end_chain(ctx, funds, c + b, i)
                                      for i in ctx.datum.indices)
                         rep.check(ends == kg.source(p),
@@ -318,27 +319,25 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
             except ValueError as exc:
                 rep.check(False, "factorization %s+%s of %s: %s", m, n, p, exc)
 
-    # composition: associativity and degree additivity
-    composable = []
-    for p in paths:
-        for q in paths:
-            if kg.source(p) == kg.range(q):
-                composable.append((p, q))
-    for p, q in composable:
-        pq = kg.compose(p, q)
-        rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
-                  "degree of %s * %s is not additive", p, q)
-        rep.check(pq.vertex == p.vertex and kg.source(pq) == kg.source(q),
-                  "endpoints of %s * %s are wrong", p, q)
+    # composition in one pass: additivity and endpoints of every composable
+    # pair, associativity of every composable triple from the stored products
     by_range: dict = {}
+    by_source: dict = {}
+    for p in paths:
+        by_range.setdefault(kg.range(p), []).append(p)
+        by_source.setdefault(kg.source(p), []).append(p)
     for q in paths:
-        by_range.setdefault(kg.range(q), []).append(q)
-    for p, q in composable:
-        for r in by_range.get(kg.source(q), ()):
-            left = kg.compose(kg.compose(p, q), r)
-            right = kg.compose(p, kg.compose(q, r))
-            rep.check(left == right,
-                      "associativity fails on %s, %s, %s", p, q, r)
+        rs = by_range.get(kg.source(q), ())
+        qrs = [kg.compose(q, r) for r in rs]
+        for p in by_source.get(kg.range(q), ()):
+            pq = kg.compose(p, q)
+            rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
+                      "degree of %s * %s is not additive", p, q)
+            rep.check(pq.vertex == p.vertex and kg.source(pq) == kg.source(q),
+                      "endpoints of %s * %s are wrong", p, q)
+            for r, qr in zip(rs, qrs):
+                rep.check(kg.compose(pq, r) == kg.compose(p, qr),
+                          "associativity fails on %s, %s, %s", p, q, r)
     return rep
 
 

@@ -52,14 +52,20 @@ def test_source_examples(a2_kg):
     assert a2_kg.source(p) == wv(a2_kg, 1, 2)
     # a degree-zero path is a loop
     for v in a2_kg.vertices():
-        assert a2_kg.source(a2_kg.identity_path(v)) == v
+        assert a2_kg.source(a2_kg.path(v, (), (0, 0))) == v
+
+
+def test_path_repr_names_its_fields():
+    # failure messages print paths with %s, so this text is part of a report
+    p = KPath(((1,), (1, 2)), ((2,),), (1, 0))
+    assert str(p) == "KPath(vertex=((1,), (1, 2)), element=((2,),), degree=(1, 0))"
 
 
 def test_compose_identity_and_degree(a2_kg):
     omega1, omega2 = (1, 0), (0, 1)
     p = a2_kg.path(wv(a2_kg, 1), (A1_,), omega1)
-    idl = a2_kg.identity_path(a2_kg.range(p))
-    idr = a2_kg.identity_path(a2_kg.source(p))
+    idl = a2_kg.path(a2_kg.range(p), (), (0, 0))
+    idr = a2_kg.path(a2_kg.source(p), (), (0, 0))
     assert a2_kg.compose(idl, p) == p
     assert a2_kg.compose(p, idr) == p
     for q in a2_kg.paths_of_degree(omega2):
@@ -69,7 +75,7 @@ def test_compose_identity_and_degree(a2_kg):
             assert a2_kg.range(pq) == a2_kg.range(p)
             assert a2_kg.source(pq) == a2_kg.source(q)
     with pytest.raises(ValueError):
-        bad = a2_kg.identity_path(wv(a2_kg, 2))
+        bad = a2_kg.path(wv(a2_kg, 2), (), (0, 0))
         a2_kg.compose(p, bad)
 
 
@@ -106,7 +112,7 @@ def test_skeleton_spot_checks(a2_kg):
 def test_factorization_examples(a2_kg):
     p = a2_kg.paths_of_degree((1, 1))[0]
     g, h = a2_kg.factorization_check(p, (0, 0), (1, 1))
-    assert g == a2_kg.identity_path(a2_kg.range(p)) and h == p
+    assert g == a2_kg.path(a2_kg.range(p), (), (0, 0)) and h == p
     g, h = a2_kg.factorization_check(p, (1, 0), (0, 1))
     assert a2_kg.compose(g, h) == p
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from crystalgraphs import (Convention, CrystalContext, apply_chain,
                            builtin_datum, extremal_element, in_cartan_component,
                            right_end_chain, right_end_inclusion,
-                           right_end_tuple, source_identity_holds, tensor)
+                           right_end_tuple, tensor)
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
 
@@ -136,19 +136,3 @@ def test_right_end_of_composite_weight(a2, a2_weyl):
         b = extremal_element(big, w)
         end = right_end_inclusion(a2, big, b, a2.datum.rho())
         assert end == extremal_element(rho, w)
-
-
-def test_source_identity_exhaustive(a2, c2_opp):
-    cases = [(a2, a2.datum.fundamental_weight(1)),
-             (c2_opp, c2_opp.datum.fundamental_weight(2))]
-    for ctx, lam in cases:
-        rho = ctx.rho_crystal()
-        lam_funds = ctx.fundamental_indices(lam)
-        rho_funds = tuple(ctx.datum.indices)
-        checked = 0
-        for c in rho.elements:
-            for b in ctx.weight_crystal(lam).elements:
-                if in_cartan_component(ctx, rho_funds + lam_funds, c + b):
-                    assert source_identity_holds(ctx, c, lam, b)
-                    checked += 1
-        assert checked > 0

@@ -1,10 +1,12 @@
 import json
 import math
 import sys
+from collections import Counter
 
 import pytest
 
-from crystalgraphs import Report, run_suite
+from crystalgraphs import (CrystalContext, KGraph, Report, builtin_datum,
+                           run_suite)
 from crystalgraphs.verify import json_count
 
 
@@ -60,3 +62,61 @@ def test_json_count_beyond_the_str_limit():
     assert json_count(10 ** limit - 1) == 10 ** limit - 1
     assert json_count(10 ** limit)["log10"] == pytest.approx(limit)
     assert math.isclose(json_count(2 ** 14400)["log10"], 14400 * math.log10(2))
+
+
+def test_representative_disagreement_is_recorded(monkeypatch):
+    # a membership test that accepts everything disagrees with `is_path`;
+    # the suite must record that, not raise on the rejected representative
+    monkeypatch.setattr("crystalgraphs.verify.in_cartan_component",
+                        lambda *_args: True)
+    rep = run_suite("kgraph-axioms", algebra="A2", degree_bound=(1, 1))
+    assert rep.instances_checked == 3760
+    assert len(rep.failures) == 55
+    assert all(f.startswith("path test at") for f in rep.failures)
+
+
+ADDITIVE = "degree of %s * %s is not additive"
+ENDPOINTS = "endpoints of %s * %s are wrong"
+ASSOCIATIVE = "associativity fails on %s, %s, %s"
+
+# (composable pairs, composable triples, instances_checked) at bound (1, 1),
+# the same under both conventions
+COMPOSITION_COUNTS = {"A2": (392, 2592, 3760), "C2": (1162, 9220, 12618)}
+
+
+@pytest.mark.parametrize("algebra", sorted(COMPOSITION_COUNTS))
+@pytest.mark.parametrize("convention", ["hong-kang", "opposite"])
+def test_composition_checks_every_pair_and_triple_once(monkeypatch, algebra,
+                                                       convention):
+    seen: dict = {}
+    check = Report.check
+
+    def counting(self, ok, fmt, *args):
+        seen.setdefault(fmt, Counter())[args] += 1
+        check(self, ok, fmt, *args)
+
+    monkeypatch.setattr(Report, "check", counting)
+    rep = run_suite("kgraph-axioms", algebra=algebra, convention=convention,
+                    degree_bound=(1, 1))
+    assert rep.ok, rep.failures[:3]
+
+    # oracle: the quadratic scan over all pairs of enumerated paths
+    kg = KGraph(CrystalContext(builtin_datum(algebra), convention))
+    paths = kg.enumerate_paths((1, 1))
+    pairs = [(p, q) for p in paths for q in paths
+             if kg.source(p) == kg.range(q)]
+    triples = [(p, q, r) for p, q in pairs for r in paths
+               if kg.source(q) == kg.range(r)]
+    assert seen[ADDITIVE] == Counter(pairs)
+    assert seen[ENDPOINTS] == Counter(pairs)
+    assert seen[ASSOCIATIVE] == Counter(triples)
+    assert (len(pairs), len(triples), rep.instances_checked) == \
+        COMPOSITION_COUNTS[algebra]
+
+
+@pytest.mark.slow
+def test_kgraph_axioms_a3_frontier():
+    rep = run_suite("kgraph-axioms", algebra="A3", degree_bound=(1, 1, 1))
+    assert rep.ok, rep.failures[:3]
+    assert rep.details["paths"] == 1169
+    assert rep.instances_checked == 902361
