@@ -15,9 +15,9 @@ from .rightends import (apply_chain, in_cartan_component, right_end_chain,
 from .rootdata import (NonFiniteTypeError, RootDatum, RootVector, Weight,
                        builtin_datum, datum_from_dict, load_datum,
                        resolve_datum)
-from .tableaux import (SkewTableau, Tableau, braid_columns, column_reading,
-                       enumerate_ssyt, from_crystal, is_key, left_key,
-                       right_ends_via_slides, right_key, to_crystal)
+from .tableaux import (SkewTableau, Tableau, braid_columns, enumerate_ssyt,
+                       from_crystal, is_key, left_key, right_ends_via_slides,
+                       right_key)
 from .verify import SUITES, Report, run_suite
 from .weyl import WeylElement, WeylGroup
 

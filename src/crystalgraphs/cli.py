@@ -14,7 +14,8 @@ from .crystal import CrystalContext, _is_type_a, as_convention
 from .kgraph import KGraph
 from .rightends import right_end_tuple
 from .rootdata import resolve_datum
-from .tableaux import Tableau, from_crystal, left_key, right_key
+from .tableaux import (Tableau, from_crystal, left_key, right_ends_via_slides,
+                       right_key)
 from .verify import SUITES, run_suite
 
 
@@ -69,7 +70,9 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = {"convention": args.convention}
+    config = {}
+    if args.convention:
+        config["convention"] = args.convention
     if args.algebra:
         config["algebra"] = args.algebra
     if args.degree_bound:
@@ -113,11 +116,10 @@ def cmd_rightends(args) -> int:
     rho = ctx.rho_crystal()
     rows = []
     for b in rho.elements:
-        ends = right_end_tuple(ctx, b)
         if args.via == "slides":
-            from .tableaux import right_ends_via_slides
-            slid = right_ends_via_slides(from_crystal(b))
-            ends = tuple(reversed(slid))
+            ends = tuple(reversed(right_ends_via_slides(from_crystal(b))))
+        else:
+            ends = right_end_tuple(ctx, b)
         rows.append({"element": [element_str(x) for x in b],
                      "ends": [element_str(x) for x in ends]})
     rows.sort(key=lambda r: r["element"])
@@ -173,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--algebra", default="",
                    help="algebra for the structural suites")
-    p.add_argument("--convention", default="hong-kang",
-                   choices=["hong-kang", "opposite"])
+    p.add_argument("--convention", choices=["hong-kang", "opposite"],
+                   help="for the structural suites (default hong-kang)")
     p.add_argument("--degree-bound", default="",
                    help="comma-separated componentwise bound, e.g. 1,1")
     p.add_argument("-o", "--out")

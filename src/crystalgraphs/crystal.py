@@ -270,7 +270,7 @@ def _check_factors(factors):
     return factors, datum
 
 
-def tensor(factors, convention=Convention.HONG_KANG, name: str = "") -> Crystal:
+def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
     """The full tensor product crystal; element ids are tuples of factor ids."""
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
@@ -288,13 +288,12 @@ def tensor(factors, convention=Convention.HONG_KANG, name: str = "") -> Crystal:
             res = _tensor_apply(rule, elem)
             if res is not None:
                 lowering[i][elem] = res
-    name = name or "(" + " x ".join(c.name for c in factors) + ")"
+    name = "(" + " x ".join(c.name for c in factors) + ")"
     return Crystal(datum, elements, weights, lowering, name=name,
                    factors=factors, validate=False)
 
 
-def tensor_component(factors, convention=Convention.HONG_KANG,
-                     name: str = "") -> Crystal:
+def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     """The Cartan component of a tensor product, built lazily.
 
     The component of the product of highest weight elements is a highest
@@ -336,7 +335,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG,
                     w2 = shifted[(w, i)] = pool.setdefault(w2, w2)
                 weights[down] = w2
             lowering[i][elem] = kept
-    name = name or "cartan(" + " x ".join(c.name for c in factors) + ")"
+    name = "cartan(" + " x ".join(c.name for c in factors) + ")"
     return Crystal(datum, order, weights, lowering, name=name,
                    factors=factors, validate=False)
 
@@ -552,8 +551,8 @@ class CrystalContext:
     fundamental crystals, connected realizations of highest weight crystals
     (as components of products of fundamentals, indices sorted increasingly),
     the fundamental indices of each weight, the pairwise braiding tables
-    between fundamental crystals, and the braid chains that
-    `rightends.apply_chain` runs, keyed by (factor list, start).
+    between fundamental crystals, and the chain plans of each factor list
+    that `rightends.chain_ends` runs, one tuple per factor list.
     """
 
     def __init__(self, datum: RootDatum, convention=Convention.HONG_KANG):
@@ -561,7 +560,6 @@ class CrystalContext:
         self.convention = as_convention(convention)
         self._fund: dict[int, Crystal] = {}
         self._components: dict[tuple, Crystal] = {}
-        self._weight_crystals: dict[tuple, Crystal] = {}
         self._fund_indices: dict[tuple, tuple[int, ...]] = {}
         self._braidings: dict[tuple, dict] = {}
         self._chains: dict[tuple, tuple] = {}
@@ -616,11 +614,12 @@ class CrystalContext:
         Refuses, before building anything, a crystal over MAX_CRYSTAL_SIZE.
         """
         lam = self.weight(lam)
-        if lam.coords not in self._weight_crystals:
-            funds = self.fundamental_indices(lam)
+        funds = self.fundamental_indices(lam)
+        crystal = self._components.get(funds)
+        if crystal is None:
             check_crystal_size(self.datum, lam)
-            self._weight_crystals[lam.coords] = self.cartan_of(funds)
-        return self._weight_crystals[lam.coords]
+            crystal = self.cartan_of(funds)
+        return crystal
 
     def rho_crystal(self) -> Crystal:
         return self.weight_crystal(self.rho)

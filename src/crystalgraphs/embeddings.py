@@ -19,7 +19,7 @@ from itertools import product as iterproduct
 from typing import Callable, Iterator
 
 from .crystal import extremal_element
-from .graphs import ColoredDigraph, Edge
+from .graphs import Edge
 from .kgraph import KGraph, KPath
 from .rootdata import Weight
 
@@ -32,8 +32,7 @@ class GraphEmbedding:
     edge_map: dict
 
 
-def _check_embedding(kg: KGraph, graph: ColoredDigraph, emb: GraphEmbedding,
-                     degree_of) -> None:
+def _check_embedding(kg: KGraph, emb: GraphEmbedding, degree_of) -> None:
     """Validate injectivity, incidence, and degrees; raise on any failure."""
     images = list(emb.vertex_map.values())
     if len(set(images)) != len(images):
@@ -68,8 +67,7 @@ def embed_right_weak(kg: KGraph) -> GraphEmbedding:
         omega = kg.ctx.datum.fundamental_weight(i)
         edge_map[edge] = kg.path(vertex_map[edge.dst], elem, omega)
     emb = GraphEmbedding(vertex_map, edge_map)
-    _check_embedding(kg, graph, emb,
-                     lambda e: kg.ctx.datum.fundamental_weight(e.color))
+    _check_embedding(kg, emb, lambda e: kg.ctx.datum.fundamental_weight(e.color))
     return emb
 
 
@@ -173,7 +171,7 @@ def embed_bruhat(kg: KGraph, coloring: dict) -> GraphEmbedding:
     edge_map = {e: _bruhat_path(kg, vertex_map, e, coloring[e])
                 for e in graph.edges}
     emb = GraphEmbedding(vertex_map, edge_map)
-    _check_embedding(kg, graph, emb, lambda e: coloring[e])
+    _check_embedding(kg, emb, lambda e: coloring[e])
     return emb
 
 

@@ -174,10 +174,8 @@ class KGraph:
         ranges = [range(b + 1) for b in bound]
         return tuple(sorted(iterproduct(*ranges), key=lambda d: (sum(d), d)))
 
-    def enumerate_paths(self, bound=None) -> tuple[KPath, ...]:
-        """All paths of degree componentwise at most `bound` (default all 2s)."""
-        if bound is None:
-            bound = (2,) * self.datum.rank
+    def enumerate_paths(self, bound) -> tuple[KPath, ...]:
+        """All paths of degree componentwise at most `bound`."""
         out: list[KPath] = []
         for d in self.degrees_up_to(bound):
             out.extend(self.paths_of_degree(d))

@@ -4,8 +4,9 @@ Elements of highest weight crystals are flat tuples in a product of
 fundamental crystals, so every computation below reduces to the cached
 pairwise braiding tables between fundamentals.  A positional braid word is
 built once per factor list as a plan (`braid_plan`) and applied to elements
-by `apply_plan`; the chains of `apply_chain` are such plans too, cached in
-the context per factor list and start.  The inclusion realization
+by `apply_plan`; the n chains of a factor list are such plans too, cached
+in the context per factor list, and `chain_ends` runs them all in one pass.
+The inclusion realization
 B(lam) -> B(lam - mu) (x) B(mu) is also provided; it serves as an independent
 second route for the same values.
 """
@@ -16,25 +17,41 @@ from .crystal import (Crystal, CrystalContext, canonical_isomorphism,
                       cartan_component, tensor)
 
 
-def apply_chain(ctx: CrystalContext, funds, elem, k: int):
+def _chain_plans(ctx: CrystalContext, funds: tuple) -> tuple:
+    """The plans of the chains k = 1..n on a factor list, built once per
+    context; chain k moves factor k (1-based) rightmost, chain n has no step."""
+    plans = ctx._chains.get(funds)
+    if plans is None:
+        n = len(funds)
+        plans = ctx._chains[funds] = tuple(
+            braid_plan(ctx, funds, range(k - 1, n - 1)) for k in range(1, n + 1))
+    return plans
+
+
+def apply_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
     """Apply the adjacent braidings at positions k, k+1, ..., n-1 (1-based).
 
-    Returns the transformed (funds, elem) pair, or None as soon as a braiding
-    gives 0.  The factor starting at position k ends up rightmost.  The plan
-    and the moved factor list of each (funds, k) are built once per context.
+    Returns the moved element, or None as soon as a braiding gives 0.
     """
-    funds = tuple(funds)
-    chain = ctx._chains.get((funds, k))
-    if chain is None:
-        n = len(funds)
-        if not 1 <= k <= n:
-            raise IndexError(f"chain start {k} outside 1..{n}")
-        moved = funds[:k - 1] + funds[k:] + funds[k - 1:k]
-        chain = (braid_plan(ctx, funds, range(k - 1, n - 1)), moved)
-        ctx._chains[(funds, k)] = chain
-    plan, moved = chain
-    elem = apply_plan(plan, elem)
-    return None if elem is None else (moved, elem)
+    plans = _chain_plans(ctx, funds)
+    if not 1 <= k <= len(plans):
+        raise IndexError(f"chain start {k} outside 1..{len(plans)}")
+    return apply_plan(plans[k - 1], elem)
+
+
+def chain_ends(ctx: CrystalContext, funds: tuple, elem):
+    """The right ends of the chains k = 1..n on elem, in order of k.
+
+    None at the first chain that gives 0, which happens exactly when elem lies
+    outside the Cartan component of the product of the factors `funds`.
+    """
+    ends = []
+    for plan in _chain_plans(ctx, funds):
+        moved = apply_plan(plan, elem)
+        if moved is None:
+            return None
+        ends.append(moved[-1])
+    return tuple(ends)
 
 
 def sorting_word(funds) -> tuple[int, ...]:
@@ -82,39 +99,29 @@ def apply_plan(plan, elem):
     return tuple(elem)
 
 
-def right_end_chain(ctx: CrystalContext, funds, elem, k: int):
+def right_end_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
     """The rightmost factor after the chain starting at position k; None for 0."""
     moved = apply_chain(ctx, funds, elem, k)
-    if moved is None:
-        return None
-    return moved[1][-1]
+    return None if moved is None else moved[-1]
 
 
-def in_cartan_component(ctx: CrystalContext, funds, elem) -> bool:
+def in_cartan_component(ctx: CrystalContext, funds: tuple, elem) -> bool:
     """Cartan membership test: every chain k = 1..n-1 must stay nonzero."""
-    n = len(elem)
-    for k in range(1, n):
-        if apply_chain(ctx, funds, elem, k) is None:
-            return False
-    return True
+    return chain_ends(ctx, funds, elem) is not None
 
 
 def right_end_tuple(ctx: CrystalContext, elem) -> tuple:
     """(R_1(b), ..., R_r(b)) for b a Cartan element of B(w1) (x) ... (x) B(wr).
 
-    The chains k = 1..r that give the ends also decide membership: chain r
-    has no step, so "every chain stays nonzero" is `in_cartan_component`.
+    The chains that give the ends also decide membership (`chain_ends`).
     """
     funds = tuple(ctx.datum.indices)
     if len(elem) != len(funds):
         raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
-    out = []
-    for k in funds:
-        end = right_end_chain(ctx, funds, elem, k)
-        if end is None:
-            raise ValueError(f"{elem!r} is outside the Cartan component")
-        out.append(end)
-    return tuple(out)
+    ends = chain_ends(ctx, funds, elem)
+    if ends is None:
+        raise ValueError(f"{elem!r} is outside the Cartan component")
+    return ends
 
 
 def right_end_inclusion(ctx: CrystalContext, crystal: Crystal, b, mu):

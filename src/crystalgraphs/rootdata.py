@@ -280,18 +280,34 @@ def builtin_datum(name: str) -> RootDatum:
     raise ValueError(f"unknown algebra name {name!r}")
 
 
+def int_rows(rows, error: str) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of tuples; ValueError(error) unless it is an array of
+    arrays of JSON integers (bool, float, string and null are not)."""
+    if not (isinstance(rows, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in rows)
+            and all(type(x) is int for row in rows for x in row)):
+        raise ValueError(error)
+    return tuple(map(tuple, rows))
+
+
 def datum_from_dict(data: dict, name: str = "") -> RootDatum:
-    rank = int(data["rank"])
-    cartan = tuple(tuple(int(x) for x in row) for row in data["cartan"])
-    symmetrizer = tuple(Fraction(str(x)) for x in data["symmetrizer"])
-    return RootDatum(rank, cartan, symmetrizer, name=name or data.get("name", ""))
+    if not isinstance(data, dict):
+        raise ValueError("Cartan data must be an object")
+    rank, symmetrizer = data["rank"], data["symmetrizer"]
+    int_rows([[rank], symmetrizer], "the rank and the symmetrizer entries "
+             "must be integers")
+    cartan = int_rows(data["cartan"], "the Cartan matrix must be an array of "
+                      "arrays of integers")
+    return RootDatum(rank, cartan, tuple(map(Fraction, symmetrizer)),
+                     name=name or data.get("name", ""))
 
 
 def load_datum(path: str) -> RootDatum:
     """Read a Cartan data file: {"rank": r, "cartan": [[...]], "symmetrizer": [...]}."""
     with open(path) as fh:
         data = json.load(fh)
-    return datum_from_dict(data, name=data.get("name", path))
+    name = data.get("name", path) if isinstance(data, dict) else path
+    return datum_from_dict(data, name=name)
 
 
 def resolve_datum(name_or_path: str) -> RootDatum:

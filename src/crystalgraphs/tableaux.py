@@ -2,11 +2,13 @@
 
 Columns double as crystal elements of the fundamental column crystals, so a
 tableau is the reversed factor list of a tensor element.  Two-column slides
-realize the braiding between fundamental crystals; chains of them move a
-column to the boundary, which computes right ends and the left/right keys.
+realize the braiding between fundamental crystals; one slide moves a column
+to either edge, which computes right ends and the left/right keys.
 """
 
 from __future__ import annotations
+
+from .rootdata import int_rows
 
 Column = tuple[int, ...]
 
@@ -16,10 +18,11 @@ def _is_column(col) -> bool:
 
 
 class Tableau:
-    """A straight-shape semistandard tableau, stored by rows."""
+    """A straight-shape semistandard tableau, stored by rows of integers."""
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = int_rows(rows, "a tableau must be an array of rows, "
+                             "each an array of integers")
         shape = tuple(len(row) for row in self.rows)
         if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] == 0):
             raise ValueError(f"{shape} is not a partition shape")
@@ -306,70 +309,37 @@ def from_crystal(elem) -> Tableau:
     return Tableau.from_columns(tuple(reversed(tuple(elem))))
 
 
-def to_crystal(tab: Tableau) -> tuple[Column, ...]:
-    """The reversed column list, i.e. the tensor factors of the tableau."""
-    return tuple(reversed(tab.columns))
-
-
-def column_reading(skew: SkewTableau) -> tuple[Column, ...]:
-    """Single-box factors of the column word, last column first."""
-    out = []
-    for col in reversed(skew.columns()):
-        out.extend((v,) for v in col)
-    return tuple(out)
-
-
 # -- keys and right ends via slides --------------------------------------------
 
-def _swap_adjacent(cols: list[Column], pos: int) -> None:
-    """Swap the columns at pos, pos+1 with a two-column braiding move."""
-    a, b = cols[pos], cols[pos + 1]
-    out = braid_columns(b, a)
-    if out is None:
-        raise ValueError("column pair left the Cartan component during a slide")
-    u, v = out
-    cols[pos], cols[pos + 1] = v, u
-
-
-def column_stages_left(tab: Tableau, k: int) -> list[list[Column]]:
-    """Column lists seen while sliding column k (1-based) to the left edge."""
-    cols = list(tab.columns)
-    stages = [list(cols)]
-    for pos in range(k - 1, 0, -1):
-        _swap_adjacent(cols, pos - 1)
-        stages.append(list(cols))
-    return stages
-
-
-def column_stages_right(tab: Tableau, k: int) -> list[list[Column]]:
-    """Column lists seen while sliding column k (1-based) to the right edge."""
-    cols = list(tab.columns)
-    stages = [list(cols)]
-    for pos in range(k - 1, len(cols) - 1):
-        _swap_adjacent(cols, pos)
-        stages.append(list(cols))
-    return stages
+def _slide_column(tab: Tableau, k: int, left: bool) -> Column:
+    """Column k (1-based) of tab once two-column braidings have moved it to
+    the left edge (or the right edge); the other columns are not kept."""
+    cols = tab.columns
+    col = cols[k - 1]
+    for other in (reversed(cols[:k - 1]) if left else cols[k:]):
+        out = braid_columns(col, other) if left else braid_columns(other, col)
+        if out is None:
+            raise ValueError("column pair left the Cartan component during a slide")
+        col = out[1] if left else out[0]
+    return col
 
 
 def left_key(tab: Tableau) -> Tableau:
-    """The key whose k-th column is the leftmost column after sliding the
-    k-th column of the tableau to the left boundary."""
-    cols = [column_stages_left(tab, k)[-1][0]
-            for k in range(1, len(tab.columns) + 1)]
-    return Tableau.from_columns(cols)
+    """The key whose k-th column is column k of the tableau slid to the left
+    edge."""
+    return Tableau.from_columns(right_ends_via_slides(tab))
 
 
 def right_key(tab: Tableau) -> Tableau:
-    """Same as left_key with the columns slid to the right boundary."""
-    cols = [column_stages_right(tab, k)[-1][-1]
-            for k in range(1, len(tab.columns) + 1)]
-    return Tableau.from_columns(cols)
+    """Same as left_key with the columns slid to the right edge."""
+    return Tableau.from_columns(_slide_column(tab, k, left=False)
+                                for k in range(1, len(tab.columns) + 1))
 
 
 def right_ends_via_slides(tab: Tableau) -> tuple[Column, ...]:
-    """Per-column right ends: the leftmost column once column k reaches the
-    left boundary.  These are the columns of the left key."""
-    return tuple(column_stages_left(tab, k)[-1][0]
+    """Per-column right ends: column k once slid to the left edge.  These are
+    the columns of the left key."""
+    return tuple(_slide_column(tab, k, left=True)
                  for k in range(1, len(tab.columns) + 1))
 
 

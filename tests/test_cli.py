@@ -54,6 +54,17 @@ PINNED_OUTPUTS = [
                   "--format", "json"),
                  "70e6a2d434fa978a3c065601191c11a531b62924eed0d8c953d78c2d55728853",
                  id="rightends-C2-opposite"),
+    pytest.param(("rightends", "--algebra", "A4", "--via", "slides",
+                  "--format", "json"),
+                 "878f9daf5a7563ad23b427242f568ada804818f3fbb95ea48867eb027ec8f37c",
+                 id="rightends-A4-slides"),
+    pytest.param(("verify", "--suite", "keys"),
+                 "39e5028a10d6b243dc3e4f1aa7c95913c8603660c45104dfc9e62fccb9c7b5af",
+                 id="verify-keys"),
+    pytest.param(("verify", "--suite", "kgraph-axioms", "--algebra", "A2",
+                  "--degree-bound", "1,1"),
+                 "4c924c52c06aedfbf0582e0c2875a6f0bf25a6c733cae06d5b613599892d5985",
+                 id="kgraph-axioms-A2-1,1"),
 ]
 
 
@@ -217,6 +228,13 @@ EXIT_CODES = [
     pytest.param(2, False, ("skeleton", "--algebra", "A9"), id="rho-too-large"),
     pytest.param(2, False, ("verify", "--suite", "kgraph-axioms", "--algebra", "A4",
                             "--degree-bound", "9,9,9,9"), id="bound-too-large"),
+    # an option the suite does not read is refused, not ignored
+    pytest.param(2, False, ("verify", "--suite", "keys", "--algebra", "A9"),
+                 id="keys-algebra"),
+    pytest.param(2, False, ("verify", "--suite", "a2-fixtures", "--algebra", "C2"),
+                 id="a2-fixtures-algebra"),
+    pytest.param(2, False, ("verify", "--suite", "lemmas", "--degree-bound", "1,1"),
+                 id="lemmas-degree-bound"),
 ]
 
 
@@ -230,6 +248,33 @@ def test_exit_code_table(code, tampered, argv, tmp_path):
         assert proc.stderr.startswith("error: ")
     else:
         assert bool(json.loads(proc.stdout)["failures"]) == (code == 1)
+
+
+# JSON input files that are not of the documented shape, or hold anything
+# but integers, are refused with exit 2 instead of being coerced or crashing
+MALFORMED_INPUTS = [
+    pytest.param("keys", [[1, 2], 3], id="tableau-row-not-array"),
+    pytest.param("keys", [[1, 2], [None]], id="tableau-null-entry"),
+    pytest.param("keys", None, id="tableau-null"),
+    pytest.param("keys", [[1.5, 2]], id="tableau-float-entry"),
+    pytest.param("keys", "12", id="tableau-string"),
+    pytest.param("skeleton", [1, 2], id="datum-not-object"),
+    pytest.param("skeleton", {"rank": 2, "cartan": 5, "symmetrizer": [1, 1]},
+                 id="datum-cartan-not-array"),
+    pytest.param("skeleton", {"rank": 2, "cartan": [[2, -1], [-1.5, 2]],
+                              "symmetrizer": [1, 1]}, id="datum-float-entry"),
+]
+
+
+@pytest.mark.parametrize("command, content", MALFORMED_INPUTS)
+def test_malformed_json_input_exit_code(command, content, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    option = "--tableau" if command == "keys" else "--algebra"
+    proc = run_process(command, option, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.slow

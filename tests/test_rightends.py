@@ -4,6 +4,7 @@ from crystalgraphs import (Convention, CrystalContext, apply_chain,
                            builtin_datum, extremal_element, in_cartan_component,
                            right_end_chain, right_end_inclusion,
                            right_end_tuple, tensor)
+from crystalgraphs.rightends import chain_ends
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
 
@@ -28,23 +29,31 @@ def _chain_step_by_step(ctx, funds, elem, k):
             return None
         elem[pos], elem[pos + 1] = out
         funds[pos], funds[pos + 1] = funds[pos + 1], funds[pos]
-    return tuple(funds), tuple(elem)
+    return tuple(elem)
 
 
 def test_cached_chains_match_step_by_step():
-    # the cached (plan, moved factors) of every start, on every element of
-    # a product whose factor list repeats and is out of order
+    # the cached plans of every start, and the ends of all of them in one
+    # pass, on every element of a product whose factor list repeats and is
+    # out of order
     for name, convention in (("A2", Convention.HONG_KANG),
                              ("C2", Convention.OPPOSITE)):
         ctx = CrystalContext(builtin_datum(name), convention)
         funds = (2, 1, 2)
         P = tensor([ctx.fundamental(i) for i in funds], convention)
         for elem in P.elements:
+            moved = [_chain_step_by_step(ctx, funds, elem, k) for k in (1, 2, 3)]
             for k in (1, 2, 3):
-                assert (apply_chain(ctx, funds, elem, k)
-                        == _chain_step_by_step(ctx, funds, elem, k)), (name, elem, k)
-        with pytest.raises(IndexError):
-            apply_chain(ctx, funds, P.elements[0], 4)
+                assert apply_chain(ctx, funds, elem, k) == moved[k - 1], (name, elem, k)
+            if None in moved:
+                assert chain_ends(ctx, funds, elem) is None, (name, elem)
+            else:
+                assert (chain_ends(ctx, funds, elem)
+                        == tuple(m[-1] for m in moved)), (name, elem)
+        assert len(ctx._chains) == 1  # one entry per factor list
+        for k in (0, 4):
+            with pytest.raises(IndexError):
+                apply_chain(ctx, funds, P.elements[0], k)
 
 
 def test_right_end_tuple_examples(a2):

@@ -1,11 +1,23 @@
 import pytest
 
-from crystalgraphs import (SkewTableau, Tableau, braid_columns, column_reading,
-                           enumerate_ssyt, from_crystal, is_key, left_key,
-                           right_ends_via_slides, right_key, tensor,
-                           to_crystal)
+from crystalgraphs import (SkewTableau, Tableau, braid_columns, enumerate_ssyt,
+                           from_crystal, is_key, left_key,
+                           right_ends_via_slides, right_key, tensor)
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
+
+
+def to_crystal(tab):
+    """The reversed column list, i.e. the tensor factors of the tableau."""
+    return tuple(reversed(tab.columns))
+
+
+def column_reading(skew):
+    """Single-box factors of the column word, last column first."""
+    out = []
+    for col in reversed(skew.columns()):
+        out.extend((v,) for v in col)
+    return tuple(out)
 
 
 def test_tableau_validation():
@@ -132,16 +144,41 @@ def test_right_ends_via_slides_example(a2):
     assert right_ends_via_slides(t) == Tableau([[1, 2], [2]]).columns
 
 
+def _key_stages(tab, k, left):
+    """Column lists seen while column k (1-based) moves to the left (or
+    right) edge, one two-column braiding at a time."""
+    cols = list(tab.columns)
+    stages = [list(cols)]
+    positions = range(k - 2, -1, -1) if left else range(k - 1, len(cols) - 1)
+    for pos in positions:
+        u, v = braid_columns(cols[pos + 1], cols[pos])
+        cols[pos], cols[pos + 1] = v, u
+        stages.append(list(cols))
+    return stages
+
+
 def test_frankness_of_key_stages():
-    from crystalgraphs.tableaux import column_stages_left, column_stages_right
     t = Tableau([[1, 2, 3], [2, 5], [4]])
     target = sorted(len(c) for c in t.columns)
     for k in range(1, 4):
-        for stages in (column_stages_left(t, k), column_stages_right(t, k)):
-            for cols in stages:
+        for left in (True, False):
+            for cols in _key_stages(t, k, left):
                 skew = SkewTableau.from_columns(cols)
                 assert sorted(len(c) for c in skew.columns()) == target
                 assert skew.rectify() == t
+
+
+def test_keys_equal_last_stages():
+    # the keys read one column slide each; the oracle keeps every stage
+    census = enumerate_ssyt((3, 2, 1), 4)
+    assert len(census) == 64
+    for t in census:
+        width = len(t.columns)
+        ends = [_key_stages(t, k, True)[-1][0] for k in range(1, width + 1)]
+        assert right_ends_via_slides(t) == tuple(ends)
+        assert left_key(t) == Tableau.from_columns(ends)
+        assert right_key(t) == Tableau.from_columns(
+            _key_stages(t, k, False)[-1][-1] for k in range(1, width + 1))
 
 
 def test_ssyt_counts():

@@ -66,9 +66,12 @@ def test_json_count_beyond_the_str_limit():
 
 def test_representative_disagreement_is_recorded(monkeypatch):
     # a membership test that accepts everything disagrees with `is_path`;
-    # the suite must record that, not raise on the rejected representative
-    monkeypatch.setattr("crystalgraphs.verify.in_cartan_component",
-                        lambda *_args: True)
+    # the suite must record that, not raise on the rejected representative.
+    # Membership is `chain_ends(...) is not None`, so a non-member gets the
+    # ends () instead of None; members keep their true ends.
+    from crystalgraphs.rightends import chain_ends
+    monkeypatch.setattr("crystalgraphs.verify.chain_ends",
+                        lambda *args: chain_ends(*args) or ())
     rep = run_suite("kgraph-axioms", algebra="A2", degree_bound=(1, 1))
     assert rep.instances_checked == 3760
     assert len(rep.failures) == 55
