@@ -13,7 +13,7 @@ from collections import deque
 from enum import Enum
 from itertools import product as iterproduct
 
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum, Weight, int_rows
 
 
 class Convention(Enum):
@@ -506,15 +506,29 @@ def build_fundamental(datum: RootDatum, i: int) -> Crystal:
 
 
 def crystal_from_dict(datum: RootDatum, data: dict, name: str = "") -> Crystal:
-    """Load a crystal from {"weight", "elements", "wt", "f"} and validate it."""
-    elements = list(data["elements"])
-    weights = {b: Weight(tuple(int(c) for c in data["wt"][b])) for b in elements}
+    """Load a crystal from {"weight", "elements", "wt", "f"} and validate it.
+
+    Weights are arrays of JSON integers; any other shape is a ValueError.
+    """
+    if not (isinstance(data, dict) and isinstance(data.get("elements"), list)
+            and isinstance(data.get("wt"), dict) and isinstance(data.get("f"), dict)
+            and all(isinstance(fmap, dict) for fmap in data["f"].values())):
+        raise ValueError('crystal data must be an object with an array "elements" '
+                         'and objects "wt" and "f", each entry of "f" an object')
+    elements = data["elements"]
+    try:
+        rows = [data["wt"][b] for b in elements]
+    except (KeyError, TypeError):
+        raise ValueError('every element needs an entry in "wt"') from None
+    rows = int_rows(rows, 'every "wt" entry must be an array of integers')
+    weights = {b: Weight(row) for b, row in zip(elements, rows)}
+    declared = Weight(int_rows([data.get("weight")],
+                               '"weight" must be an array of integers')[0])
     lowering = {int(i): dict(fmap) for i, fmap in data["f"].items()}
     for i in lowering:
         datum._check_index(i)
     crystal = Crystal(datum, elements, weights, lowering,
                       name=name or "B(file)", validate=True)
-    declared = Weight(tuple(int(c) for c in data["weight"]))
     if not crystal.is_connected():
         raise ValueError("crystal data file is not connected")
     if crystal.highest_weight != declared:

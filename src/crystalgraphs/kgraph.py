@@ -39,6 +39,7 @@ class KGraph:
         self._fibers = {v: tuple(cs) for v, cs in fibers.items()}
         self._weyl: WeylGroup | None = None
         self._weyl_labels: dict[tuple, WeylElement] | None = None
+        self._ends: dict[tuple, tuple[dict, ...]] = {}
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
         self._compose_plans: dict[tuple, tuple] = {}
@@ -84,15 +85,40 @@ class KGraph:
 
     # -- paths ---------------------------------------------------------------
 
+    def _end_table(self, lam) -> tuple[dict, ...]:
+        """Per index i, the map (x, b) -> R(x (x) b) over x in B(w_i) and b in
+        B(lam), for the pairs in the Cartan component; built once per degree.
+
+        For c in the fiber of v, chain i on c (x) b is chain i on c, which
+        ends in v_i, followed by chain 1 on v_i (x) b.  So (v, b) is a path
+        exactly when every v_i (x) b is a Cartan element, and its source is
+        (R(v_1 (x) b), ..., R(v_r (x) b)).
+        """
+        table = self._ends.get(lam.coords)
+        if table is None:
+            ctx = self.ctx
+            elements = ctx.weight_crystal(lam).elements
+            lam_funds = ctx.fundamental_indices(lam)
+            table = []
+            for i in self.datum.indices:
+                funds = (i,) + lam_funds
+                ends = {}
+                for x in ctx.fundamental(i).elements:
+                    for b in elements:
+                        elem = (x,) + b
+                        if in_cartan_component(ctx, funds, elem):
+                            ends[x, b] = right_end_chain(ctx, funds, elem, 1)
+                table.append(ends)
+            table = self._ends[lam.coords] = tuple(table)
+        return table
+
     def is_path(self, v: tuple, element: tuple, degree) -> bool:
         lam = self.ctx.weight(degree)
         if v not in self._fibers:
             return False
-        if element not in self.ctx.weight_crystal(lam):
-            return False
-        rep = self._fibers[v][0]
-        funds = tuple(self.datum.indices) + self.ctx.fundamental_indices(lam)
-        return in_cartan_component(self.ctx, funds, rep + tuple(element))
+        element = tuple(element)
+        return all((x, element) in ends
+                   for x, ends in zip(v, self._end_table(lam)))
 
     def path(self, v: tuple, element: tuple, degree) -> KPath:
         lam = self.ctx.weight(degree)
@@ -109,15 +135,11 @@ class KGraph:
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized."""
         if p not in self._sources:
-            lam_funds = self.ctx.fundamental_indices(p.degree)
-            out = []
-            for i in self.datum.indices:
-                end = right_end_chain(self.ctx, (i,) + lam_funds,
-                                      (p.vertex[i - 1],) + p.element, 1)
-                if end is None:
-                    raise ValueError(f"{p} is not a valid path")
-                out.append(end)
-            v = tuple(out)
+            ends = self._end_table(self.ctx.weight(p.degree))
+            try:
+                v = tuple(table[x, p.element] for x, table in zip(p.vertex, ends))
+            except KeyError:
+                raise ValueError(f"{p} is not a valid path") from None
             if v not in self._fibers:
                 raise RuntimeError(f"source {v!r} of {p} is not a vertex")
             self._sources[p] = v

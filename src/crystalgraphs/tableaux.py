@@ -8,6 +8,8 @@ to either edge, which computes right ends and the left/right keys.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .rootdata import int_rows
 
 Column = tuple[int, ...]
@@ -276,8 +278,13 @@ def braid_columns(x: Column, y: Column):
     when (x, y) lies outside the Cartan component.  Inputs with i >= j are
     rectified from their skew arrangement; inputs with i < j are expanded by
     reverse slides.  Equal lengths give the identity on the Cartan part.
+    Each pair is computed once; the results are tuples, so they are shared.
     """
-    x, y = tuple(x), tuple(y)
+    return _braid_columns(tuple(x), tuple(y))
+
+
+@cache
+def _braid_columns(x: Column, y: Column):
     i, j = len(x), len(y)
     if i == j:
         if all(b <= a for a, b in zip(x, y)):
@@ -311,10 +318,10 @@ def from_crystal(elem) -> Tableau:
 
 # -- keys and right ends via slides --------------------------------------------
 
-def _slide_column(tab: Tableau, k: int, left: bool) -> Column:
-    """Column k (1-based) of tab once two-column braidings have moved it to
-    the left edge (or the right edge); the other columns are not kept."""
-    cols = tab.columns
+def _slide_column(cols: tuple[Column, ...], k: int, left: bool) -> Column:
+    """Column k (1-based) of a tableau's columns once two-column braidings
+    have moved it to the left edge (or the right edge); the other columns are
+    not kept."""
     col = cols[k - 1]
     for other in (reversed(cols[:k - 1]) if left else cols[k:]):
         out = braid_columns(col, other) if left else braid_columns(other, col)
@@ -332,15 +339,17 @@ def left_key(tab: Tableau) -> Tableau:
 
 def right_key(tab: Tableau) -> Tableau:
     """Same as left_key with the columns slid to the right edge."""
-    return Tableau.from_columns(_slide_column(tab, k, left=False)
-                                for k in range(1, len(tab.columns) + 1))
+    cols = tab.columns
+    return Tableau.from_columns(_slide_column(cols, k, left=False)
+                                for k in range(1, len(cols) + 1))
 
 
 def right_ends_via_slides(tab: Tableau) -> tuple[Column, ...]:
     """Per-column right ends: column k once slid to the left edge.  These are
     the columns of the left key."""
-    return tuple(_slide_column(tab, k, left=True)
-                 for k in range(1, len(tab.columns) + 1))
+    cols = tab.columns
+    return tuple(_slide_column(cols, k, left=True)
+                 for k in range(1, len(cols) + 1))
 
 
 def is_key(tab: Tableau) -> bool:

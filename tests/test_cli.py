@@ -65,6 +65,13 @@ PINNED_OUTPUTS = [
                   "--degree-bound", "1,1"),
                  "4c924c52c06aedfbf0582e0c2875a6f0bf25a6c733cae06d5b613599892d5985",
                  id="kgraph-axioms-A2-1,1"),
+    pytest.param(("skeleton", "--algebra", "C2", "--convention", "opposite",
+                  "--output", "json"),
+                 "5b9d6428639a5d023a10e7857f0755ab926e0449d32c101471c1593c366386e1",
+                 id="skeleton-C2-opposite"),
+    pytest.param(("skeleton", "--algebra", "A3", "--output", "json"),
+                 "63966147f4604521d55813149beed76888dd245797e3ce396312876f565072c8",
+                 id="skeleton-A3"),
 ]
 
 
@@ -73,6 +80,26 @@ def test_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_a5_skeleton_pinned(capsys):
+    code, out, _ = run(capsys, "skeleton", "--algebra", "A5", "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dc85b60c0d36810a1758b1292f1d02c0b82f43a8f100e0d446c21a3e01403656")
+
+
+@pytest.mark.slow
+def test_a5_right_ends_pinned_on_both_routes(capsys):
+    code, chains, _ = run(capsys, "rightends", "--algebra", "A5", "--format", "json")
+    assert code == 0
+    code, slides, _ = run(capsys, "rightends", "--algebra", "A5", "--via", "slides",
+                          "--format", "json")
+    assert code == 0
+    assert slides == chains
+    assert hashlib.sha256(chains.encode()).hexdigest() == (
+        "ae19c31d05779933179b2f5e51aff30c28be1b18a1744bb0cf5abe9c3c51c4c3")
 
 
 def test_braiding_table(capsys):

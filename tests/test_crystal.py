@@ -356,6 +356,47 @@ def test_crystal_file_roundtrip(tmp_path, c2):
         crystal_from_dict(c2.datum, broken)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param({"weight": [1.9, 0]}, id="float-weight"),
+    pytest.param({"weight": ["1", 0]}, id="string-weight"),
+    pytest.param({"weight": [True, 0]}, id="bool-weight"),
+    pytest.param({"weight": 5}, id="scalar-weight"),
+    pytest.param({"weight": None}, id="missing-weight"),
+    pytest.param({"wt": {"a1": [1.9, 0]}}, id="float-wt"),
+    pytest.param({"wt": {"a1": ["1", 0]}}, id="string-wt"),
+    pytest.param({"wt": {"a1": [True, 0]}}, id="bool-wt"),
+    pytest.param({"wt": {"a1": 5}}, id="scalar-wt"),
+    pytest.param({"wt": {}}, id="element-without-wt"),
+    pytest.param({"wt": [1, 0]}, id="wt-not-object"),
+    pytest.param({"elements": "a1"}, id="elements-not-array"),
+    pytest.param({"elements": [["a1"]]}, id="unhashable-element"),
+    pytest.param({"f": {"1": ["a2"]}}, id="operator-not-object"),
+])
+def test_crystal_from_dict_refuses_malformed_data(c2, bad):
+    # only JSON integers count as weight entries: 1.9, "1" and true are not 1
+    B = c2.fundamental(1)
+    data = {
+        "weight": [1, 0],
+        "elements": list(B.elements),
+        "wt": {b: list(B.wt(b).coords) for b in B.elements},
+        "f": {str(i): {b: B.f(i, b) for b in B.elements if B.f(i, b)}
+              for i in (1, 2)},
+    }
+    for key, value in bad.items():
+        if key == "wt" and isinstance(value, dict) and value:
+            value = dict(data["wt"], **value)
+        data[key] = value
+    with pytest.raises(ValueError):
+        crystal_from_dict(c2.datum, data)
+
+
+@pytest.mark.parametrize("data", [5, "crystal", [], None, {}],
+                         ids=["int", "string", "array", "null", "empty"])
+def test_crystal_from_dict_refuses_non_objects(c2, data):
+    with pytest.raises(ValueError):
+        crystal_from_dict(c2.datum, data)
+
+
 def test_crystal_order(a2):
     B = a2.fundamental(1)
     assert B.leq(A3_, A1_) and not B.leq(A1_, A3_)

@@ -131,6 +131,35 @@ def test_representative_independence(a2_kg):
             assert len(results) == 1
 
 
+# the representative route: (v, b) is a path when c (x) b is a Cartan element
+# for a c in the fiber of v, and its source is the first r chain ends
+PATH_ORACLE_BOUNDS = {"A2": (2, 2), "C2": (2, 2), "A3": (1, 1, 1)}
+
+
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in PATH_ORACLE_BOUNDS
+                                       for conv in Convention])
+def test_path_tests_match_representative_route(name, conv):
+    from crystalgraphs.rightends import chain_ends
+    ctx = CrystalContext(builtin_datum(name), conv)
+    kg = KGraph(ctx)
+    rank = ctx.datum.rank
+    rho_funds = tuple(ctx.datum.indices)
+    paths = 0
+    for lam in kg.degrees_up_to(PATH_ORACLE_BOUNDS[name]):
+        funds = rho_funds + ctx.fundamental_indices(lam)
+        for v in kg.vertices():
+            for b in ctx.weight_crystal(lam).elements:
+                is_path = kg.is_path(v, b, lam)
+                for c in kg.fiber(v):
+                    ends = chain_ends(ctx, funds, c + b)
+                    assert is_path == (ends is not None), (v, c, b)
+                    if is_path:
+                        assert kg.source(KPath(v, b, lam)) == ends[:rank]
+                paths += is_path
+    assert paths == len(kg.enumerate_paths(PATH_ORACLE_BOUNDS[name]))
+    assert paths > 0
+
+
 def test_order_compatibility(a2_kg):
     for p in a2_kg.enumerate_paths((1, 1)):
         assert a2_kg.vertex_leq(a2_kg.range(p), a2_kg.source(p))
@@ -210,6 +239,21 @@ def test_a4_vertices_and_keys():
     for b in ctx.rho_crystal():
         ends = right_end_tuple(ctx, b)
         assert left_key(from_crystal(b)).columns == tuple(reversed(ends))
+
+
+@pytest.mark.slow
+def test_a5_left_keys_are_right_ends():
+    from crystalgraphs import from_crystal, left_key, right_end_tuple
+    ctx = CrystalContext(builtin_datum("A5"))
+    keys = set()
+    count = 0
+    for b in ctx.rho_crystal():
+        key = left_key(from_crystal(b))
+        assert key.columns == tuple(reversed(right_end_tuple(ctx, b)))
+        keys.add(key)
+        count += 1
+    assert count == 32768
+    assert len(keys) == 720
 
 
 def test_skeleton_json_and_dot(a2_kg):

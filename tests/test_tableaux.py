@@ -1,8 +1,8 @@
 import pytest
 
-from crystalgraphs import (SkewTableau, Tableau, braid_columns, enumerate_ssyt,
-                           from_crystal, is_key, left_key,
-                           right_ends_via_slides, right_key, tensor)
+from crystalgraphs import (CrystalContext, SkewTableau, Tableau, braid_columns,
+                           builtin_datum, enumerate_ssyt, from_crystal, is_key,
+                           left_key, right_ends_via_slides, right_key, tensor)
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
 
@@ -102,13 +102,27 @@ def test_rectification_order_independent():
 
 def test_braid_columns_equals_crystal_braiding(a2, a3):
     from itertools import product
-    for ctx in (a2, a3):
+    a4 = CrystalContext(builtin_datum("A4"))
+    for ctx in (a2, a3, a4):
         for i in ctx.datum.indices:
             for j in ctx.datum.indices:
                 table = ctx.braiding(i, j)
                 ci, cj = ctx.fundamental(i), ctx.fundamental(j)
                 for x, y in product(ci.elements, cj.elements):
                     assert braid_columns(x, y) == table[(x, y)], (i, j, x, y)
+
+
+def test_braid_columns_shares_tuples(a3):
+    # pairs are computed once; list and tuple inputs reach the same entry
+    from itertools import product
+    for i in a3.datum.indices:
+        for j in a3.datum.indices:
+            ci, cj = a3.fundamental(i), a3.fundamental(j)
+            for x, y in product(ci.elements, cj.elements):
+                out = braid_columns(x, y)
+                assert braid_columns(list(x), list(y)) == out
+                if out is not None:
+                    assert all(type(c) is tuple for c in (out, *out))
 
 
 def test_keys_worked_example():
