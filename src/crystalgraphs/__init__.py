@@ -3,8 +3,7 @@
 from .crystal import (Convention, Crystal, CrystalContext, build_fundamental,
                       canonical_isomorphism, cartan_braiding, cartan_component,
                       crystal_from_dict, crystal_from_file, extremal_element,
-                      tensor, tensor_component, trivial_crystal, weyl_action,
-                      weyl_action_word)
+                      tensor, tensor_component, trivial_crystal, weyl_action)
 from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,
                          embed_right_weak, enumerate_compatible_colorings,
                          minimal_coloring)

@@ -9,6 +9,7 @@ a single flag, through the signature rule over the whole factor list.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from enum import Enum
 from itertools import product as iterproduct
@@ -57,6 +58,7 @@ class Crystal:
         self._desc: dict = {}
         self._strings: dict[int, dict] = {}
         self._hw = None
+        self._extremal: dict[tuple, object] = {}
         if validate:
             self.validate()
 
@@ -364,17 +366,19 @@ def weyl_action(crystal: Crystal, i: int, b):
     return b
 
 
-def weyl_action_word(crystal: Crystal, word, b):
-    """Apply the reflections of a word, rightmost letter first."""
-    for i in reversed(tuple(word)):
-        b = weyl_action(crystal, i, b)
-    return b
-
-
 def extremal_element(crystal: Crystal, w):
-    """The unique element of extremal weight w(lambda) in a connected crystal."""
-    word = getattr(w, "word", w)
-    return weyl_action_word(crystal, word, crystal.hw_element())
+    """The unique element of extremal weight w(lambda) in a connected crystal.
+
+    w is a Weyl group element or a word.  The element of s_i w is s_i applied
+    to that of w; results are memoized in the crystal by word.
+    """
+    word = tuple(getattr(w, "word", w))
+    b = crystal._extremal.get(word)
+    if b is None:
+        b = crystal._extremal[word] = (
+            weyl_action(crystal, word[0], extremal_element(crystal, word[1:]))
+            if word else crystal.hw_element())
+    return b
 
 
 # -- canonical isomorphisms and the Cartan braiding ---------------------------
@@ -505,10 +509,19 @@ def build_fundamental(datum: RootDatum, i: int) -> Crystal:
         "register one from a data file")
 
 
+def _is_listed(listed: set, b) -> bool:
+    try:
+        return b in listed
+    except TypeError:   # unhashable, so not a listed element
+        return False
+
+
 def crystal_from_dict(datum: RootDatum, data: dict, name: str = "") -> Crystal:
     """Load a crystal from {"weight", "elements", "wt", "f"} and validate it.
 
-    Weights are arrays of JSON integers; any other shape is a ValueError.
+    Weights are arrays of JSON integers, operator indices are the strings
+    "1" to "rank", and each operator maps listed elements to listed elements;
+    any other shape is a ValueError.
     """
     if not (isinstance(data, dict) and isinstance(data.get("elements"), list)
             and isinstance(data.get("wt"), dict) and isinstance(data.get("f"), dict)
@@ -524,9 +537,18 @@ def crystal_from_dict(datum: RootDatum, data: dict, name: str = "") -> Crystal:
     weights = {b: Weight(row) for b, row in zip(elements, rows)}
     declared = Weight(int_rows([data.get("weight")],
                                '"weight" must be an array of integers')[0])
-    lowering = {int(i): dict(fmap) for i, fmap in data["f"].items()}
-    for i in lowering:
-        datum._check_index(i)
+    listed = set(elements)
+    lowering = {}
+    for i, fmap in data["f"].items():
+        if not (isinstance(i, str) and re.fullmatch(r"[1-9][0-9]*", i)
+                and int(i) <= datum.rank):
+            raise ValueError(f'operator index {i!r} of "f" is not one of '
+                             f'"1", ..., "{datum.rank}"')
+        if not all(_is_listed(listed, b) and _is_listed(listed, b2)
+                   for b, b2 in fmap.items()):
+            raise ValueError(f'operator {i} of "f" maps an element that is '
+                             'not listed in "elements"')
+        lowering[int(i)] = dict(fmap)
     crystal = Crystal(datum, elements, weights, lowering,
                       name=name or "B(file)", validate=True)
     if not crystal.is_connected():

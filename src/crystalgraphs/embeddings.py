@@ -57,16 +57,13 @@ def _check_edge(kg: KGraph, edge: Edge, p: KPath, degree: Weight,
 
 def embed_right_weak(kg: KGraph) -> GraphEmbedding:
     """w -> vertex of w; edge w -> w s_i to the path (vertex(w s_i), b_{w omega_i})."""
-    W = kg.weyl_group
-    graph = W.right_weak_graph()
-    vertex_map = {w: kg.weyl_vertex(w) for w in W}
     edge_map = {}
-    for edge in graph.edges:
+    for edge in kg.weyl_group.weak_graph("right").edges:
         i = edge.color
         elem = (extremal_element(kg.ctx.fundamental(i), edge.src),)
         omega = kg.ctx.datum.fundamental_weight(i)
-        edge_map[edge] = kg.path(vertex_map[edge.dst], elem, omega)
-    emb = GraphEmbedding(vertex_map, edge_map)
+        edge_map[edge] = kg.path(kg.weyl_vertices[edge.dst], elem, omega)
+    emb = GraphEmbedding(dict(kg.weyl_vertices), edge_map)
     _check_embedding(kg, emb, lambda e: kg.ctx.datum.fundamental_weight(e.color))
     return emb
 
@@ -80,12 +77,11 @@ def count_weak_embeddings(kg: KGraph, side: str = "right") -> int:
     endpoints, same color) to every weak edge; the count is the number of
     such assignments.  Without pinning the vertices the count degenerates:
     relabelings of same-length vertices create extra abstract injections
-    that correspond to nothing in the group.
+    that correspond to nothing in the group.  `side` is "right" or "left".
     """
-    W = kg.weyl_group
-    graph = W.right_weak_graph() if side == "right" else W.left_weak_graph()
+    graph = kg.weyl_group.weak_graph(side)
     multiplicity = kg.skeleton().edge_multiset()
-    vertex_map = {w: kg.weyl_vertex(w) for w in W}
+    vertex_map = kg.weyl_vertices
     total = 1
     for e in graph.edges:
         total *= multiplicity.get(
@@ -165,12 +161,9 @@ def _bruhat_path(kg: KGraph, vertex_map: dict, edge: Edge,
 
 def embed_bruhat(kg: KGraph, coloring: dict) -> GraphEmbedding:
     """Edge w -> wt goes to the path (vertex(wt), b_{w c(e)}); validated."""
-    W = kg.weyl_group
-    graph = W.bruhat_graph()
-    vertex_map = {w: kg.weyl_vertex(w) for w in W}
-    edge_map = {e: _bruhat_path(kg, vertex_map, e, coloring[e])
-                for e in graph.edges}
-    emb = GraphEmbedding(vertex_map, edge_map)
+    edge_map = {e: _bruhat_path(kg, kg.weyl_vertices, e, coloring[e])
+                for e in kg.weyl_group.bruhat_graph().edges}
+    emb = GraphEmbedding(dict(kg.weyl_vertices), edge_map)
     _check_embedding(kg, emb, lambda e: coloring[e])
     return emb
 
@@ -188,7 +181,7 @@ def check_bruhat_colorings(kg: KGraph, colorings: CompatibleColorings,
     """
     if not colorings.count:
         return
-    vertex_map = {w: kg.weyl_vertex(w) for w in kg.weyl_group}
+    vertex_map = kg.weyl_vertices
     check(len(set(vertex_map.values())) == len(vertex_map),
           "vertex map is not injective")
     reached: dict[KPath, list[Edge]] = {}

@@ -8,6 +8,7 @@ the skeleton, exhaustive enumeration and the factorization axiom live here.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iterproduct
 from typing import NamedTuple
 
@@ -37,12 +38,11 @@ class KGraph:
             fibers.setdefault(v, []).append(c)
         self._vertices = tuple(sorted(fibers, key=str))
         self._fibers = {v: tuple(cs) for v, cs in fibers.items()}
-        self._weyl: WeylGroup | None = None
-        self._weyl_labels: dict[tuple, WeylElement] | None = None
-        self._ends: dict[tuple, tuple[dict, ...]] = {}
+        self._rows: dict[tuple, tuple[dict, ...]] = {}
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
         self._compose_plans: dict[tuple, tuple] = {}
+        self._skeleton: ColoredDigraph | None = None
 
     # -- vertices -----------------------------------------------------------
 
@@ -53,11 +53,9 @@ class KGraph:
         """All elements of B(rho) whose right-end tuple is v."""
         return self._fibers[v]
 
-    @property
+    @cached_property
     def weyl_group(self) -> WeylGroup:
-        if self._weyl is None:
-            self._weyl = WeylGroup.generate(self.datum)
-        return self._weyl
+        return WeylGroup.generate(self.datum)
 
     def weyl_vertex(self, w: WeylElement) -> tuple:
         """The vertex of a Weyl group element: its tuple of extremal factors."""
@@ -67,15 +65,20 @@ class KGraph:
             raise RuntimeError(f"extremal tuple {v!r} is not a vertex")
         return v
 
+    @cached_property
+    def weyl_vertices(self) -> dict[WeylElement, tuple]:
+        """The map w -> vertex of w over the whole Weyl group; read-only."""
+        return {w: self.weyl_vertex(w) for w in self.weyl_group}
+
+    @cached_property
+    def _weyl_labels(self) -> dict[tuple, WeylElement]:
+        labels = {v: w for w, v in self.weyl_vertices.items()}
+        if len(labels) != len(self.weyl_vertices):
+            raise RuntimeError("Weyl vertex map is not injective")
+        return labels
+
     def weyl_label(self, v: tuple) -> WeylElement | None:
         """The Weyl group element mapping to v, when there is one."""
-        if self._weyl_labels is None:
-            self._weyl_labels = {}
-            for w in self.weyl_group:
-                vw = self.weyl_vertex(w)
-                if vw in self._weyl_labels:
-                    raise RuntimeError("Weyl vertex map is not injective")
-                self._weyl_labels[vw] = w
         return self._weyl_labels.get(v)
 
     def vertex_leq(self, v: tuple, u: tuple) -> bool:
@@ -85,40 +88,40 @@ class KGraph:
 
     # -- paths ---------------------------------------------------------------
 
-    def _end_table(self, lam) -> tuple[dict, ...]:
-        """Per index i, the map (x, b) -> R(x (x) b) over x in B(w_i) and b in
-        B(lam), for the pairs in the Cartan component; built once per degree.
+    def _row(self, lam, b) -> tuple[dict, ...] | None:
+        """Per index i, x -> R(x (x) b) over the x in B(w_i) with x (x) b in
+        the Cartan component; None, and not stored, when b is not in B(lam).
 
         For c in the fiber of v, chain i on c (x) b is chain i on c, which
         ends in v_i, followed by chain 1 on v_i (x) b.  So (v, b) is a path
         exactly when every v_i (x) b is a Cartan element, and its source is
         (R(v_1 (x) b), ..., R(v_r (x) b)).
         """
-        table = self._ends.get(lam.coords)
-        if table is None:
+        key = (lam.coords, b)
+        row = self._rows.get(key)
+        if row is None:
             ctx = self.ctx
-            elements = ctx.weight_crystal(lam).elements
+            if b not in ctx.weight_crystal(lam):
+                return None
             lam_funds = ctx.fundamental_indices(lam)
-            table = []
+            row = []
             for i in self.datum.indices:
                 funds = (i,) + lam_funds
                 ends = {}
                 for x in ctx.fundamental(i).elements:
-                    for b in elements:
-                        elem = (x,) + b
-                        if in_cartan_component(ctx, funds, elem):
-                            ends[x, b] = right_end_chain(ctx, funds, elem, 1)
-                table.append(ends)
-            table = self._ends[lam.coords] = tuple(table)
-        return table
+                    elem = (x,) + b
+                    if in_cartan_component(ctx, funds, elem):
+                        ends[x] = right_end_chain(ctx, funds, elem, 1)
+                row.append(ends)
+            row = self._rows[key] = tuple(row)
+        return row
 
     def is_path(self, v: tuple, element: tuple, degree) -> bool:
         lam = self.ctx.weight(degree)
         if v not in self._fibers:
             return False
-        element = tuple(element)
-        return all((x, element) in ends
-                   for x, ends in zip(v, self._end_table(lam)))
+        row = self._row(lam, tuple(element))
+        return row is not None and all(x in ends for x, ends in zip(v, row))
 
     def path(self, v: tuple, element: tuple, degree) -> KPath:
         lam = self.ctx.weight(degree)
@@ -135,11 +138,10 @@ class KGraph:
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized."""
         if p not in self._sources:
-            ends = self._end_table(self.ctx.weight(p.degree))
-            try:
-                v = tuple(table[x, p.element] for x, table in zip(p.vertex, ends))
-            except KeyError:
-                raise ValueError(f"{p} is not a valid path") from None
+            row = self._row(self.ctx.weight(p.degree), p.element)
+            if row is None or not all(x in ends for x, ends in zip(p.vertex, row)):
+                raise ValueError(f"{p} is not a valid path")
+            v = tuple(ends[x] for x, ends in zip(p.vertex, row))
             if v not in self._fibers:
                 raise RuntimeError(f"source {v!r} of {p} is not a vertex")
             self._sources[p] = v
@@ -208,14 +210,16 @@ class KGraph:
     def skeleton(self) -> ColoredDigraph:
         """Vertices plus the degree-omega_i paths as i-colored edges.
 
-        Parallel edges are kept distinct by their defining element.
+        Parallel edges are kept distinct by their defining element; built once.
         """
-        edges = []
-        for i in self.datum.indices:
-            omega = tuple(1 if j == i else 0 for j in self.datum.indices)
-            for p in self.paths_of_degree(omega):
-                edges.append(Edge(self.source(p), p.vertex, i, key=p.element))
-        return ColoredDigraph(self._vertices, edges, name="skeleton")
+        if self._skeleton is None:
+            edges = []
+            for i in self.datum.indices:
+                omega = tuple(1 if j == i else 0 for j in self.datum.indices)
+                for p in self.paths_of_degree(omega):
+                    edges.append(Edge(self.source(p), p.vertex, i, key=p.element))
+            self._skeleton = ColoredDigraph(self._vertices, edges, name="skeleton")
+        return self._skeleton
 
     # -- the factorization axiom ------------------------------------------------
 

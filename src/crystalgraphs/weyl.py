@@ -38,6 +38,7 @@ class WeylGroup:
         self._left = left
         self._reflection_roots = reflection_roots
         self._bruhat: ColoredDigraph | None = None
+        self._weak: dict[str, ColoredDigraph] = {}
         self._reach: dict[WeylElement, frozenset] | None = None
 
     @classmethod
@@ -161,23 +162,22 @@ class WeylGroup:
             self._bruhat = ColoredDigraph(self.elements, edges, name="bruhat")
         return self._bruhat
 
-    def right_weak_graph(self) -> ColoredDigraph:
-        edges = []
-        for u in self.elements:
-            for i in self.datum.indices:
-                w = self.multiply(u, self.simple(i))
-                if w.length > u.length:
-                    edges.append(Edge(u, w, i))
-        return ColoredDigraph(self.elements, edges, name="right_weak")
-
-    def left_weak_graph(self) -> ColoredDigraph:
-        edges = []
-        for u in self.elements:
-            for i in self.datum.indices:
-                w = self.multiply(self.simple(i), u)
-                if w.length > u.length:
-                    edges.append(Edge(u, w, i))
-        return ColoredDigraph(self.elements, edges, name="left_weak")
+    def weak_graph(self, side: str) -> ColoredDigraph:
+        """Edges u -> u s_i (side "right") or u -> s_i u (side "left") with
+        l(w) > l(u), colored by i; built on first use."""
+        if side not in ("right", "left"):
+            raise ValueError(f'side must be "right" or "left", not {side!r}')
+        if side not in self._weak:
+            edges = []
+            for u in self.elements:
+                for i in self.datum.indices:
+                    s = self.simple(i)
+                    w = self.multiply(u, s) if side == "right" else self.multiply(s, u)
+                    if w.length > u.length:
+                        edges.append(Edge(u, w, i))
+            self._weak[side] = ColoredDigraph(self.elements, edges,
+                                              name=f"{side}_weak")
+        return self._weak[side]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """u <= w in the Bruhat order, via reachability in the Bruhat graph."""

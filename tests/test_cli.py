@@ -72,6 +72,9 @@ PINNED_OUTPUTS = [
     pytest.param(("skeleton", "--algebra", "A3", "--output", "json"),
                  "63966147f4604521d55813149beed76888dd245797e3ce396312876f565072c8",
                  id="skeleton-A3"),
+    pytest.param(("verify", "--suite", "embeddings", "--algebra", "A4"),
+                 "e0fe86784ce4d61cfd942069a3907c1647daaab0c295a1242313991db28ab2e7",
+                 id="verify-embeddings-A4"),
 ]
 
 
@@ -316,3 +319,5 @@ def test_a5_embeddings_report_is_json():
     assert report["instances_checked"] == 92884
     count = report["details"]["compatible_colorings"]
     assert int(count["hex"], 16) == 2 ** 14400
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "34a24d77e3562d7683bc594a79df4091ab713754dfec7b38256d11401c546467")

@@ -4,12 +4,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalgraphs import (Convention, Crystal, CrystalContext, Weight,
+from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGroup,
                            builtin_datum, canonical_isomorphism,
                            cartan_braiding, cartan_component,
                            crystal_from_dict, crystal_from_file,
                            extremal_element, tensor, tensor_component,
-                           trivial_crystal, weyl_action, weyl_action_word)
+                           trivial_crystal, weyl_action)
 from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
@@ -235,11 +235,44 @@ def test_extremal_elements(a2, a2_weyl):
     assert extremal_element(b_w1, a2_weyl.element_from_word((2, 1))) == A3_
     # independent of the reduced word chosen for the longest element
     B = a2.rho_crystal()
-    assert (weyl_action_word(B, (1, 2, 1), B.hw_element())
-            == weyl_action_word(B, (2, 1, 2), B.hw_element()))
+    assert (replay_word(B, (1, 2, 1), B.hw_element())
+            == replay_word(B, (2, 1, 2), B.hw_element()))
+    assert extremal_element(B, (1, 2, 1)) == extremal_element(B, (2, 1, 2))
     for w in a2_weyl:
         b = extremal_element(B, w)
         assert B.wt(b) == w.fingerprint   # w(rho)
+
+
+def replay_word(crystal, word, b):
+    """The oracle: the reflections of a word, rightmost letter first."""
+    for i in reversed(word):
+        b = weyl_action(crystal, i, b)
+    return b
+
+
+@pytest.mark.parametrize("name", ["A3", "C2"])
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+@pytest.mark.parametrize("long_first", [True, False],
+                         ids=["long-first", "short-first"])
+def test_extremal_memo_matches_word_replay(name, convention, long_first):
+    # the memo builds each word on its suffix, so filling it from the long
+    # words down or from the short words up must give the same elements
+    ctx = CrystalContext(builtin_datum(name), convention)
+    elements = WeylGroup.generate(ctx.datum).elements
+    order = elements[::-1] if long_first else elements
+    crystals = [ctx.fundamental(i) for i in ctx.datum.indices]
+    crystals.append(ctx.rho_crystal())
+    for B in crystals:
+        for w in order:
+            b = extremal_element(B, w)
+            assert b == replay_word(B, w.word, B.hw_element()), (B, w)
+            lam = B.highest_weight
+            for i in reversed(w.word):
+                lam = ctx.datum.reflect_weight(i, lam)
+            assert B.wt(b) == lam   # w(highest weight)
+        # a second pass reads the memo and agrees with the first
+        assert [extremal_element(B, w) for w in elements] == [
+            replay_word(B, w.word, B.hw_element()) for w in elements]
 
 
 def test_cartan_component_sizes(a2, c2_opp):
@@ -371,6 +404,18 @@ def test_crystal_file_roundtrip(tmp_path, c2):
     pytest.param({"elements": "a1"}, id="elements-not-array"),
     pytest.param({"elements": [["a1"]]}, id="unhashable-element"),
     pytest.param({"f": {"1": ["a2"]}}, id="operator-not-object"),
+    pytest.param({"f": {"1": {"a1": ["a2"]}}}, id="unhashable-operator-value"),
+    pytest.param({"f": {"1": {"a1": "a9"}}}, id="unlisted-operator-value"),
+    pytest.param({"f": {"1": {"a9": "a2"}}}, id="unlisted-operator-key"),
+    pytest.param({"f": {"1": {"a1": None}}}, id="null-operator-value"),
+    pytest.param({"f": {"1.0": {"a1": "a2"}}}, id="float-operator-index"),
+    pytest.param({"f": {" 1": {"a1": "a2"}}}, id="padded-operator-index"),
+    pytest.param({"f": {"+1": {"a1": "a2"}}}, id="signed-operator-index"),
+    pytest.param({"f": {"01": {"a1": "a2"}}}, id="zero-padded-operator-index"),
+    pytest.param({"f": {"one": {"a1": "a2"}}}, id="word-operator-index"),
+    pytest.param({"f": {"0": {}}}, id="operator-index-zero"),
+    pytest.param({"f": {"3": {}}}, id="operator-index-past-rank"),
+    pytest.param({"f": {"-1": {}}}, id="negative-operator-index"),
 ])
 def test_crystal_from_dict_refuses_malformed_data(c2, bad):
     # only JSON integers count as weight entries: 1.9, "1" and true are not 1

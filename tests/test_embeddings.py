@@ -13,7 +13,7 @@ from conftest import A1_
 def test_right_weak_embedding_a2(a2_kg):
     emb = embed_right_weak(a2_kg)
     W = a2_kg.weyl_group
-    edge = next(e for e in W.right_weak_graph().edges
+    edge = next(e for e in W.weak_graph("right").edges
                 if e.src == W.identity and e.color == 1)
     p = emb.edge_map[edge]
     assert p.vertex == a2_kg.weyl_vertex(W.element_from_word((1,)))
@@ -29,6 +29,9 @@ def test_embedding_counts(a2_kg, c2_kg):
     a1_kg = KGraph(CrystalContext(builtin_datum("A1")))
     assert count_weak_embeddings(a1_kg, "right") == 1
     assert count_weak_embeddings(a1_kg, "left") == 1
+    # any other side is refused, not read as "left"
+    with pytest.raises(ValueError):
+        count_weak_embeddings(a2_kg, "Right")
 
 
 def test_edge_candidates(a2_kg):

@@ -263,3 +263,88 @@ def test_skeleton_json_and_dot(a2_kg):
     assert all(set(e) == {"src", "dst", "color", "element"} for e in data["edges"])
     dot = skel.to_dot(show_loops=True)
     assert dot.count("->") == 24
+
+
+# -- end rows: one per (degree, element), filled on first use -----------------
+
+def count_cartan_tests(monkeypatch):
+    """Count the membership tests the k-graph makes; returns the counter."""
+    import crystalgraphs.kgraph
+    calls = [0]
+    test = crystalgraphs.kgraph.in_cartan_component
+
+    def counted(*args):
+        calls[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(crystalgraphs.kgraph, "in_cartan_component", counted)
+    return calls
+
+
+def test_one_is_path_fills_one_row(monkeypatch, a3):
+    # a row costs one membership test per x in B(w_1), ..., B(w_r): 4+6+4 at
+    # A3; the whole degree rho would cost that for each of its 64 elements
+    kg = KGraph(a3)
+    calls = count_cartan_tests(monkeypatch)
+    rho = a3.rho_crystal()
+    v = kg.vertices()[3]
+    kg.is_path(v, rho.elements[5], (1, 1, 1))
+    bound = sum(len(a3.fundamental(i)) for i in a3.datum.indices)
+    assert bound == 14
+    assert 0 < calls[0] <= bound
+    # a second query on the same element reads the row
+    before = calls[0]
+    kg.is_path(kg.vertices()[0], rho.elements[5], (1, 1, 1))
+    assert calls[0] == before
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_sparse_queries_then_whole_degrees(name):
+    # rows filled by scattered queries must give the same paths and sources
+    # as rows filled by whole-degree scans
+    ctx = CrystalContext(builtin_datum(name))
+    fresh, sparse = KGraph(ctx), KGraph(ctx)
+    bound = (2, 1)
+    degrees = sparse.degrees_up_to(bound)
+    vertices = sparse.vertices()
+    for k, lam in enumerate(degrees):
+        elements = ctx.weight_crystal(lam).elements
+        for j in range(0, len(elements), 3):
+            v = vertices[(j + k) % len(vertices)]
+            b = elements[j]
+            if sparse.is_path(v, b, lam):
+                sparse.source(KPath(v, b, lam))
+    for lam in degrees:
+        got = sparse.paths_of_degree(lam)
+        want = fresh.paths_of_degree(lam)
+        assert got == want
+        assert [sparse.source(p) for p in got] == [fresh.source(p) for p in want]
+
+
+def test_non_elements_are_not_paths(a2_kg):
+    omega1 = (1, 0)
+    v = wv(a2_kg, 1)
+    assert a2_kg.is_path(v, (A1_,), omega1)
+    for b in [(A1_, A1_), (), ((9,),), ("a1",)]:
+        assert not a2_kg.is_path(v, b, omega1), b
+        with pytest.raises(ValueError):
+            a2_kg.source(KPath(v, b, omega1))
+        with pytest.raises(ValueError):
+            a2_kg.path(v, b, omega1)
+    # a non-element leaves no row behind, and the valid path still works
+    assert a2_kg.source(a2_kg.path(v, (A1_,), omega1)) == wv(a2_kg)
+
+
+def test_weyl_vertex_map_is_built_once(a2):
+    from crystalgraphs import embed_right_weak
+    kg = KGraph(a2)
+    vertices = kg.weyl_vertices
+    assert kg.weyl_vertices is vertices
+    assert vertices == {w: kg.weyl_vertex(w) for w in kg.weyl_group}
+    for w, v in vertices.items():
+        assert kg.weyl_label(v) == w
+    # an embedding holds its own copy: changing it leaves the cache alone
+    emb = embed_right_weak(kg)
+    emb.vertex_map.clear()
+    assert kg.weyl_vertices == {w: kg.weyl_vertex(w) for w in kg.weyl_group}
+    assert kg.skeleton() is kg.skeleton()

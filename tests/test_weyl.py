@@ -166,8 +166,8 @@ def test_bruhat_graph_left_right_agree():
 
 
 def test_weak_graphs():
-    right = A2.right_weak_graph()
-    left = A2.left_weak_graph()
+    right = A2.weak_graph("right")
+    left = A2.weak_graph("left")
     assert (el(A2, 2), el(A2, 2, 1), 1) in triples(right)
     # w = s_2 s_1 s_2 arises from s_1 s_2 by left multiplication with s_2
     assert (el(A2, 1, 2), el(A2, 2, 1, 2), 2) in triples(left)
@@ -183,7 +183,7 @@ def test_weak_graphs():
 
 
 def test_rank_one_weak_graphs_coincide():
-    assert triples(A1.right_weak_graph()) == triples(A1.left_weak_graph())
+    assert triples(A1.weak_graph("right")) == triples(A1.weak_graph("left"))
 
 
 def test_bruhat_leq():
@@ -212,9 +212,16 @@ def test_generation_cap():
 
 
 def test_graph_export_shapes():
-    graph = A2.right_weak_graph()
+    graph = A2.weak_graph("right")
     data = graph.to_json(vertex_str=repr)
     assert set(data) == {"vertices", "edges"}
     assert all(set(e) == {"src", "dst", "color"} for e in data["edges"])
     dot = graph.to_dot(vertex_str=repr)
     assert dot.startswith("digraph") and 'color="1"' in dot
+
+
+@pytest.mark.parametrize("side", ["Right", "up", "", None])
+def test_weak_graph_refuses_unknown_sides(side):
+    with pytest.raises(ValueError):
+        A2.weak_graph(side)
+    assert A2.weak_graph("right") is A2.weak_graph("right")
