@@ -5,8 +5,7 @@ from .crystal import (Convention, Crystal, CrystalContext, build_fundamental,
                       crystal_from_dict, crystal_from_file, extremal_element,
                       tensor, tensor_component, trivial_crystal, weyl_action)
 from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,
-                         embed_right_weak, enumerate_compatible_colorings,
-                         minimal_coloring)
+                         embed_right_weak, enumerate_compatible_colorings)
 from .graphs import ColoredDigraph, Edge
 from .kgraph import KGraph, KPath
 from .rightends import (apply_chain, in_cartan_component, right_end_chain,

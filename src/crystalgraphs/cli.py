@@ -10,10 +10,10 @@ import argparse
 import json
 import sys
 
-from .crystal import CrystalContext, _is_type_a, as_convention
+from .crystal import CrystalContext
 from .kgraph import KGraph
 from .rightends import right_end_tuple
-from .rootdata import resolve_datum
+from .rootdata import resolve_datum, type_a_cartan
 from .tableaux import (Tableau, from_crystal, left_key, right_ends_via_slides,
                        right_key)
 from .verify import SUITES, run_suite
@@ -34,16 +34,8 @@ def vertex_str(v) -> str:
     return "|".join(element_str(x) for x in v)
 
 
-def _parse_bound(text: str, rank: int) -> tuple[int, ...]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != rank or any(x < 0 for x in parts):
-        raise ValueError(f"degree bound {text!r} does not fit rank {rank}")
-    return tuple(parts)
-
-
 def _context(args) -> CrystalContext:
-    datum = resolve_datum(args.algebra)
-    return CrystalContext(datum, as_convention(args.convention))
+    return CrystalContext(resolve_datum(args.algebra), args.convention)
 
 
 def _emit(args, text: str) -> None:
@@ -76,8 +68,12 @@ def cmd_verify(args) -> int:
     if args.algebra:
         config["algebra"] = args.algebra
     if args.degree_bound:
-        rank = resolve_datum(args.algebra or "A2").rank
-        config["degree_bound"] = _parse_bound(args.degree_bound, rank)
+        # the suite checks the bound against the rank and its signs
+        try:
+            config["degree_bound"] = tuple(map(int, args.degree_bound.split(",")))
+        except ValueError:
+            raise ValueError("--degree-bound takes comma-separated integers, "
+                             f"not {args.degree_bound!r}") from None
     report = run_suite(args.suite, **config)
     _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else 1
@@ -85,7 +81,11 @@ def cmd_verify(args) -> int:
 
 def cmd_braiding(args) -> int:
     ctx = _context(args)
-    i, j = (int(x) for x in args.factors.split(","))
+    try:
+        i, j = map(int, args.factors.split(","))
+    except ValueError:
+        raise ValueError("--factors takes two fundamental indices i,j, "
+                         f"not {args.factors!r}") from None
     rank = ctx.datum.rank
     for k in (i, j):
         if not 1 <= k <= rank:
@@ -111,7 +111,7 @@ def cmd_braiding(args) -> int:
 
 def cmd_rightends(args) -> int:
     ctx = _context(args)
-    if args.via == "slides" and not _is_type_a(ctx.datum):
+    if args.via == "slides" and ctx.datum.cartan != type_a_cartan(ctx.datum.rank):
         raise ValueError("the slides route is only defined for type A algebras")
     rho = ctx.rho_crystal()
     rows = []

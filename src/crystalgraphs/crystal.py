@@ -14,7 +14,7 @@ from collections import deque
 from enum import Enum
 from itertools import product as iterproduct
 
-from .rootdata import RootDatum, Weight, int_rows
+from .rootdata import C2_CARTAN, RootDatum, Weight, int_rows, type_a_cartan
 
 
 class Convention(Enum):
@@ -125,8 +125,7 @@ class Crystal:
             w = self._wt[b]
             if len(w.coords) != r:
                 raise ValueError(f"{self.name}: weight of {b!r} has wrong rank")
-        for i in self.datum.indices:
-            alpha = self.datum.weight_of_root(self.datum.simple_root(i))
+        for i, alpha in zip(self.datum.indices, self.datum.simple_root_weights):
             for b, b2 in self._f[i].items():
                 if b not in self._wt or b2 not in self._wt:
                     raise ValueError(f"{self.name}: operator {i} touches unknown elements")
@@ -142,8 +141,11 @@ class Crystal:
     # -- structure ----------------------------------------------------------
 
     def highest_weight_elements(self) -> tuple:
+        """The elements no raising operator reaches: epsilon_i(b) = 0 for all
+        i means that b is the image of no lowering operator."""
+        raised = self._e.values()
         return tuple(b for b in self.elements
-                     if all(self.epsilon(i, b) == 0 for i in self.datum.indices))
+                     if not any(b in emap for emap in raised))
 
     def hw_element(self):
         """The unique highest weight element, found once; raises if there
@@ -159,20 +161,23 @@ class Crystal:
     def highest_weight(self) -> Weight:
         return self._wt[self.hw_element()]
 
-    def component_elements(self, b) -> tuple:
-        """Elements reachable from b under all operators, in BFS order."""
+    def _reach(self, b, maps) -> list:
+        """b and everything reachable from it along `maps`, breadth first,
+        each element's images taken in the order of `maps`."""
         seen = {b}
         order = [b]
-        queue = deque([b])
-        while queue:
-            x = queue.popleft()
-            for i in self.datum.indices:
-                for y in (self.f(i, x), self.e(i, x)):
-                    if y is not None and y not in seen:
-                        seen.add(y)
-                        order.append(y)
-                        queue.append(y)
-        return tuple(order)
+        for x in order:   # `order` grows while the loop walks it
+            for step in maps:
+                y = step.get(x)
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        return order
+
+    def component_elements(self, b) -> tuple:
+        """Elements reachable from b under all operators, in BFS order."""
+        return tuple(self._reach(b, [m for i in self.datum.indices
+                                     for m in (self._f[i], self._e[i])]))
 
     def connected_component(self, b) -> "Crystal":
         elems = self.component_elements(b)
@@ -189,16 +194,7 @@ class Crystal:
     def descendants(self, b) -> frozenset:
         """b together with everything reachable by lowering operators."""
         if b not in self._desc:
-            seen = {b}
-            queue = deque([b])
-            while queue:
-                x = queue.popleft()
-                for i in self.datum.indices:
-                    y = self.f(i, x)
-                    if y is not None and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            self._desc[b] = frozenset(seen)
+            self._desc[b] = frozenset(self._reach(b, self._f.values()))
         return self._desc[b]
 
     def leq(self, b1, b2) -> bool:
@@ -309,7 +305,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
     rules = [(i, _tensor_rule(factors, conv, i, lower=True)) for i in datum.indices]
-    alpha = {i: datum.weight_of_root(datum.simple_root(i)) for i in datum.indices}
+    alpha = datum.simple_root_weights
     seed = tuple(c.hw_element() for c in factors)
     hw = datum.zero_weight()
     for c, b in zip(factors, seed):
@@ -333,7 +329,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
                 order.append(down)
                 w2 = shifted.get((w, i))
                 if w2 is None:
-                    w2 = w - alpha[i]
+                    w2 = w - alpha[i - 1]
                     w2 = shifted[(w, i)] = pool.setdefault(w2, w2)
                 weights[down] = w2
             lowering[i][elem] = kept
@@ -433,16 +429,6 @@ def cartan_braiding(c1: Crystal, c2: Crystal,
 
 # -- fundamental crystals ------------------------------------------------------
 
-def _is_type_a(datum: RootDatum) -> bool:
-    r = datum.rank
-    return all(datum.cartan[i][j] == (2 if i == j else (-1 if abs(i - j) == 1 else 0))
-               for i in range(r) for j in range(r))
-
-
-def _is_c2(datum: RootDatum) -> bool:
-    return datum.rank == 2 and datum.cartan == ((2, -2), (-1, 2))
-
-
 def _box_weight(datum: RootDatum, v: int) -> Weight:
     coords = [0] * datum.rank
     if v <= datum.rank:
@@ -485,14 +471,14 @@ def _c2_fundamental(datum: RootDatum, k: int) -> Crystal:
         elements = ["b1", "b2", "b3", "b4", "b5"]
         lowering = {1: {"b2": "b3", "b3": "b4"}, 2: {"b1": "b2", "b4": "b5"}}
     weights = {elements[0]: datum.fundamental_weight(k)}
-    alpha = {i: datum.weight_of_root(datum.simple_root(i)) for i in datum.indices}
+    alpha = datum.simple_root_weights
     changed = True
     while changed:
         changed = False
         for i, fmap in lowering.items():
             for b, b2 in fmap.items():
                 if b in weights and b2 not in weights:
-                    weights[b2] = weights[b] - alpha[i]
+                    weights[b2] = weights[b] - alpha[i - 1]
                     changed = True
     return Crystal(datum, elements, weights, lowering, name=f"B(w{k})")
 
@@ -500,9 +486,9 @@ def _c2_fundamental(datum: RootDatum, k: int) -> Crystal:
 def build_fundamental(datum: RootDatum, i: int) -> Crystal:
     """The fundamental crystal B(omega_i) for supported Cartan data."""
     datum._check_index(i)
-    if _is_type_a(datum):
+    if datum.cartan == type_a_cartan(datum.rank):
         return _type_a_fundamental(datum, i)
-    if _is_c2(datum):
+    if datum.cartan == C2_CARTAN:
         return _c2_fundamental(datum, i)
     raise ValueError(
         f"no built-in fundamental crystals for datum {datum.name or datum.cartan}; "

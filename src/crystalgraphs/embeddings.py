@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from .crystal import extremal_element
 from .graphs import Edge
 from .kgraph import KGraph, KPath
-from .rootdata import Weight
+from .rootdata import RootVector, Weight
 
 
 @dataclass
@@ -60,7 +60,7 @@ def embed_right_weak(kg: KGraph) -> GraphEmbedding:
     edge_map = {}
     for edge in kg.weyl_group.weak_graph("right").edges:
         i = edge.color
-        elem = (extremal_element(kg.ctx.fundamental(i), edge.src),)
+        elem = (kg.weyl_vertices[edge.src][i - 1],)
         omega = kg.ctx.datum.fundamental_weight(i)
         edge_map[edge] = kg.path(kg.weyl_vertices[edge.dst], elem, omega)
     emb = GraphEmbedding(dict(kg.weyl_vertices), edge_map)
@@ -93,10 +93,10 @@ def count_weak_embeddings(kg: KGraph, side: str = "right") -> int:
 
 # -- the strong Bruhat graph ----------------------------------------------------
 
-def edge_candidates(kg: KGraph, edge: Edge, bound) -> tuple[Weight, ...]:
-    """Dominant weights up to `bound` whose support contains the edge root's."""
+def edge_candidates(kg: KGraph, root: RootVector, bound) -> tuple[Weight, ...]:
+    """Dominant weights up to `bound` whose support contains the root's."""
     datum = kg.ctx.datum
-    support = datum.supp_root(edge.color)
+    support = datum.supp_root(root)
     ranges = []
     for i in datum.indices:
         low = 1 if i in support else 0
@@ -108,9 +108,9 @@ class CompatibleColorings:
     """The compatible colorings of the Bruhat graph, as a lazy product.
 
     A coloring picks one weight from each edge's pool; iterating yields the
-    colorings one at a time and nothing is materialized.  `count` is exact
-    at any size; `len` works while it fits an index (A3 at bound (1,1,1)
-    has 2**96 colorings).
+    colorings one at a time and nothing is materialized.  Edges of one root
+    share one pool object.  `count` is exact at any size; `len` works while
+    it fits an index (A3 at bound (1,1,1) has 2**96 colorings).
     """
 
     def __init__(self, edges: tuple[Edge, ...],
@@ -131,22 +131,15 @@ class CompatibleColorings:
 
 
 def enumerate_compatible_colorings(kg: KGraph, bound) -> CompatibleColorings:
-    """All per-edge weight assignments satisfying the support condition."""
+    """All per-edge weight assignments satisfying the support condition.
+
+    A pool depends only on the edge's root, so it is built once per positive
+    root (every Bruhat edge is colored by one) and shared by its edges.
+    """
+    pools = {root: edge_candidates(kg, root, bound)
+             for root in kg.ctx.datum.positive_roots()}
     edges = kg.weyl_group.bruhat_graph().edges
-    return CompatibleColorings(
-        edges, tuple(edge_candidates(kg, e, bound) for e in edges))
-
-
-def minimal_coloring(kg: KGraph) -> dict:
-    """c(e) = sum of the fundamental weights over the edge root's support."""
-    datum = kg.ctx.datum
-    coloring = {}
-    for e in kg.weyl_group.bruhat_graph().edges:
-        lam = datum.zero_weight()
-        for i in datum.supp_root(e.color):
-            lam = lam + datum.fundamental_weight(i)
-        coloring[e] = lam
-    return coloring
+    return CompatibleColorings(edges, tuple(pools[e.color] for e in edges))
 
 
 def _bruhat_path(kg: KGraph, vertex_map: dict, edge: Edge,

@@ -215,8 +215,7 @@ class KGraph:
         if self._skeleton is None:
             edges = []
             for i in self.datum.indices:
-                omega = tuple(1 if j == i else 0 for j in self.datum.indices)
-                for p in self.paths_of_degree(omega):
+                for p in self.paths_of_degree(self.datum.fundamental_weight(i)):
                     edges.append(Edge(self.source(p), p.vertex, i, key=p.element))
             self._skeleton = ColoredDigraph(self._vertices, edges, name="skeleton")
         return self._skeleton

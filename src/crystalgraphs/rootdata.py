@@ -123,6 +123,11 @@ class RootDatum:
             for i in range(self.rank)
         ))
 
+    @cached_property
+    def simple_root_weights(self) -> tuple[Weight, ...]:
+        """alpha_1, ..., alpha_r in fundamental-weight coordinates."""
+        return tuple(self.weight_of_root(self.simple_root(i)) for i in self.indices)
+
     # -- pairings and reflections ----------------------------------------
 
     def pairing(self, lam: Weight | RootVector, i: int) -> int:
@@ -135,7 +140,7 @@ class RootDatum:
     def reflect_weight(self, i: int, lam: Weight) -> Weight:
         """Simple reflection s_i on a weight."""
         k = self.pairing(lam, i)
-        return lam - k * self.weight_of_root(self.simple_root(i))
+        return lam - k * self.simple_root_weights[i - 1]
 
     def reflect_root(self, i: int, gamma: RootVector) -> RootVector:
         """Simple reflection s_i in simple-root coordinates."""
@@ -217,19 +222,12 @@ class RootDatum:
 
     @cached_property
     def _positive_roots(self) -> tuple[RootVector, ...]:
-        return self._close_roots(10 * self.rank * self.rank)
+        """The simple roots closed under reflections, positive ones kept.
 
-    def positive_roots(self, cap: int | None = None) -> tuple[RootVector, ...]:
-        """All positive roots, by closing the simple roots under reflections.
-
-        Raises NonFiniteTypeError if more than `cap` positive roots appear
-        (default 10 * rank**2), which signals a non-finite-type datum.
+        Raises NonFiniteTypeError past 10 * rank**2 positive roots, which
+        signals a non-finite-type datum.
         """
-        if cap is None:
-            return self._positive_roots
-        return self._close_roots(cap)
-
-    def _close_roots(self, cap: int) -> tuple[RootVector, ...]:
+        cap = 10 * self.rank * self.rank
         roots = {self.simple_root(i) for i in self.indices}
         frontier = list(roots)
         while frontier:
@@ -252,31 +250,37 @@ class RootDatum:
         positive.sort(key=lambda g: (g.height(), g.coords))
         return tuple(positive)
 
+    def positive_roots(self) -> tuple[RootVector, ...]:
+        """All positive roots, by height; see `_positive_roots`."""
+        return self._positive_roots
+
     def is_root(self, gamma: RootVector) -> bool:
         return gamma in self._positive_roots or -gamma in self._positive_roots
 
 
 # -- construction ---------------------------------------------------------
 
-def _type_a_cartan(r: int) -> tuple[tuple[int, ...], ...]:
+def type_a_cartan(r: int) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of A_r."""
     return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
         for i in range(r)
     )
 
-_C2_CARTAN = ((2, -2), (-1, 2))
+
+C2_CARTAN = ((2, -2), (-1, 2))
 
 
 def builtin_datum(name: str) -> RootDatum:
     """Built-in Cartan data: "A1".."A9" (any "A<r>" accepted) and "C2"."""
     name = name.strip()
     if name.upper() == "C2":
-        return RootDatum(2, _C2_CARTAN, (Fraction(1), Fraction(2)), name="C2")
+        return RootDatum(2, C2_CARTAN, (Fraction(1), Fraction(2)), name="C2")
     if name and name[0].upper() == "A" and name[1:].isdigit():
         r = int(name[1:])
         if r < 1:
             raise ValueError(f"bad rank in algebra name {name!r}")
-        return RootDatum(r, _type_a_cartan(r), (Fraction(1),) * r, name=f"A{r}")
+        return RootDatum(r, type_a_cartan(r), (Fraction(1),) * r, name=f"A{r}")
     raise ValueError(f"unknown algebra name {name!r}")
 
 
@@ -311,9 +315,17 @@ def load_datum(path: str) -> RootDatum:
 
 
 def resolve_datum(name_or_path: str) -> RootDatum:
-    """Accept a built-in name or a path to a Cartan data file."""
+    """Accept a built-in name or a path to a Cartan data file.
+
+    A name that is neither raises the built-in parser's ValueError, which
+    also says that no such file exists.
+    """
     try:
         return builtin_datum(name_or_path)
-    except ValueError:
-        pass
-    return load_datum(name_or_path)
+    except ValueError as exc:
+        not_builtin = exc
+    try:
+        return load_datum(name_or_path)
+    except FileNotFoundError:
+        raise ValueError(f"{not_builtin}, and no file {name_or_path!r} "
+                         "exists") from None

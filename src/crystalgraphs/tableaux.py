@@ -70,7 +70,7 @@ class Tableau:
 class SkewTableau:
     """A semistandard filling of a skew shape outer/inner."""
 
-    def __init__(self, outer, inner, cells, validate: bool = True):
+    def __init__(self, outer, inner, cells):
         outer = tuple(int(x) for x in outer)
         inner = tuple(int(x) for x in inner)
         while outer and outer[-1] == 0:
@@ -81,8 +81,7 @@ class SkewTableau:
         self.outer = outer
         self.inner = inner
         self.cells = dict(cells)
-        if validate:
-            self.validate()
+        self.validate()
 
     def _inner(self, r: int) -> int:
         return self.inner[r] if r < len(self.inner) else 0

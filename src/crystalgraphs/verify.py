@@ -80,6 +80,16 @@ def _lambdas(ctx) -> list:
 # -- fixture suites -----------------------------------------------------------
 
 
+def _check_right_ends(rep: Report, ctx: CrystalContext, rows) -> None:
+    """One check per fixture row: the right-end tuple of its element."""
+    for row in rows:
+        elem = fixtures.as_pair(row["element"])
+        ends = fixtures.as_pair(row["ends"])
+        got = right_end_tuple(ctx, elem)
+        rep.check(got == ends,
+                  "right ends of %s = %s, expected %s", elem, got, ends)
+
+
 def suite_a2_fixtures() -> Report:
     rep = Report("a2-fixtures")
     ctx = CrystalContext(builtin_datum("A2"))
@@ -115,12 +125,7 @@ def suite_a2_fixtures() -> Report:
 
     # right ends of B(rho)
     fx = fixtures.load("a2_right_ends.json")
-    for row in fx["rows"]:
-        elem = fixtures.as_pair(row["element"])
-        ends = fixtures.as_pair(row["ends"])
-        got = right_end_tuple(ctx, elem)
-        rep.check(got == ends,
-                  "right ends of %s = %s, expected %s", elem, got, ends)
+    _check_right_ends(rep, ctx, fx["rows"])
     rep.check(len(ctx.rho_crystal()) == len(fx["rows"]),
               "B(rho) has a different size than the eight listed elements")
 
@@ -201,13 +206,7 @@ def suite_c2_fixtures() -> Report:
                   "braiding(%s) = %s, expected %s", pair, value, expected)
 
     # right ends display
-    fx = fixtures.load("c2_right_ends.json")
-    for row in fx["rows"]:
-        elem = fixtures.as_pair(row["element"])
-        ends = fixtures.as_pair(row["ends"])
-        got = right_end_tuple(ctx, elem)
-        rep.check(got == ends,
-                  "right ends of %s = %s, expected %s", elem, got, ends)
+    _check_right_ends(rep, ctx, fixtures.load("c2_right_ends.json")["rows"])
 
     # ten vertices, eight of them Weyl, two starred
     fx = fixtures.load("c2_weyl_vertices.json")
@@ -247,7 +246,7 @@ def suite_c2_fixtures() -> Report:
 
 
 def _context(algebra: str, convention) -> CrystalContext:
-    return CrystalContext(resolve_datum(algebra), as_convention(convention))
+    return CrystalContext(resolve_datum(algebra), convention)
 
 
 def _degree_bound(ctx: CrystalContext, degree_bound,
@@ -469,9 +468,7 @@ def suite_keys() -> Report:
             rep.check(tuple(reversed(ends)) == slid,
                       "%s: right ends of %s differ from the left-key columns",
                       name, b)
-        order = 1
-        for k in range(2, r + 2):
-            order *= k
+        order = math.factorial(r + 1)
         rep.check(len(keys_seen) == order,
                   "%s: %s distinct keys, expected %s",
                   name, len(keys_seen), order)

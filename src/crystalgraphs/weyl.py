@@ -94,14 +94,6 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return self.elements[0]
 
-    @property
-    def longest(self) -> WeylElement:
-        top = self.elements[-1].length
-        cands = [w for w in self.elements if w.length == top]
-        if len(cands) != 1:
-            raise ValueError("no unique longest element")
-        return cands[0]
-
     def simple(self, i: int) -> WeylElement:
         return self.element_from_word((i,))
 
@@ -126,14 +118,6 @@ class WeylGroup:
         self._check(u)
         self._check(w)
         return self._walk(u.word, w)
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        self._check(w)
-        return self._walk(w.word[::-1], self.identity)
-
-    def length(self, w: WeylElement) -> int:
-        self._check(w)
-        return w.length
 
     # -- reflections ---------------------------------------------------------
 

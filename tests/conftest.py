@@ -43,6 +43,13 @@ def a2_weyl(a2):
     return WeylGroup.generate(a2.datum)
 
 
+def longest(group):
+    """The longest element of a Weyl group: the unique one of maximal length."""
+    top = max(w.length for w in group)
+    (w0,) = [w for w in group if w.length == top]
+    return w0
+
+
 # the fundamental elements of A2 in chain order: a1 -> a2 -> a3, b1 -> b2 -> b3
 A1_, A2_, A3_ = (1,), (2,), (3,)
 B1_, B2_, B3_ = (1, 2), (1, 3), (2, 3)

@@ -134,6 +134,55 @@ def test_braiding_index_out_of_range_is_usage_error(factors):
     assert "Traceback" not in proc.stderr
 
 
+# a bad value is refused with exit 2 and an error line that names it
+BAD_VALUES = [
+    pytest.param(("skeleton", "--algebra", "A0"),
+                 ("bad rank in algebra name 'A0'", "no file 'A0' exists"),
+                 id="algebra-rank-0"),
+    pytest.param(("skeleton", "--algebra", "Z99"),
+                 ("unknown algebra name 'Z99'", "no file 'Z99' exists"),
+                 id="algebra-unknown"),
+    pytest.param(("braiding", "--factors", "1"),
+                 ("--factors", "i,j", "'1'"), id="factors-one-index"),
+    pytest.param(("verify", "--suite", "embeddings", "--degree-bound", "1,x"),
+                 ("--degree-bound", "'1,x'"), id="degree-bound-not-integer"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_VALUES)
+def test_bad_value_is_named(argv, named):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert all(text in proc.stderr for text in named), proc.stderr
+
+
+def _cartan_file(directory, cartan, symmetrizer):
+    path = directory / "cartan.json"
+    path.write_text(json.dumps({"rank": len(cartan), "cartan": cartan,
+                                "symmetrizer": symmetrizer}))
+    return str(path)
+
+
+def test_slides_route_on_a_type_a_data_file(tmp_path, capsys):
+    a2 = _cartan_file(tmp_path, [[2, -1], [-1, 2]], [1, 1])
+    code, from_file, _ = run(capsys, "rightends", "--algebra", a2,
+                             "--via", "slides", "--format", "json")
+    assert code == 0
+    code, builtin, _ = run(capsys, "rightends", "--algebra", "A2",
+                           "--via", "slides", "--format", "json")
+    assert code == 0 and from_file == builtin
+
+
+def test_slides_route_refuses_a_g2_data_file(tmp_path):
+    g2 = _cartan_file(tmp_path, [[2, -1], [-3, 2]], [3, 1])
+    proc = run_process("rightends", "--algebra", g2, "--via", "slides")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "type A" in proc.stderr
+
+
 def test_rightends_routes_agree(capsys):
     code, via_braiding, _ = run(capsys, "rightends", "--algebra", "A3",
                                 "--format", "json")

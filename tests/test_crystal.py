@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGroup,
-                           builtin_datum, canonical_isomorphism,
+                           build_fundamental, builtin_datum,
+                           canonical_isomorphism,
                            cartan_braiding, cartan_component,
                            crystal_from_dict, crystal_from_file,
-                           extremal_element, tensor, tensor_component,
-                           trivial_crystal, weyl_action)
+                           extremal_element, load_datum, tensor,
+                           tensor_component, trivial_crystal, weyl_action)
 from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
 from conftest import A1_, A2_, A3_, B1_, B2_, B3_
@@ -92,6 +93,37 @@ def test_hw_element_found_once(a2, monkeypatch):
 
     monkeypatch.setattr(B, "highest_weight_elements", scan)
     assert B.hw_element() is hw
+
+
+def _hw_by_epsilon(crystal) -> tuple:
+    """The elements with epsilon_i = 0 for every i, by walking each string."""
+    return tuple(b for b in crystal.elements
+                 if all(crystal.epsilon(i, b) == 0 for i in crystal.datum.indices))
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("name", ["A3", "C2"])
+def test_highest_weight_elements_match_epsilon_walk(name, convention):
+    ctx = CrystalContext(builtin_datum(name), convention)
+    funds = [ctx.fundamental(i) for i in ctx.datum.indices]
+    crystals = [*funds, ctx.rho_crystal()]
+    for n in (2, 3):
+        crystals += [tensor(fs, convention) for fs in product(funds, repeat=n)]
+    for crystal in crystals:
+        assert crystal.highest_weight_elements() == _hw_by_epsilon(crystal)
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_data_file_gets_builtin_fundamentals(name, tmp_path):
+    builtin = builtin_datum(name)
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({
+        "rank": builtin.rank, "cartan": [list(row) for row in builtin.cartan],
+        "symmetrizer": [int(d) for d in builtin.symmetrizer]}))
+    datum = load_datum(str(path))
+    for i in datum.indices:
+        assert (build_fundamental(datum, i).elements
+                == build_fundamental(builtin, i).elements)
 
 
 def test_hw_element_raises_on_every_call(a2):

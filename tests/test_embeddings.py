@@ -1,13 +1,28 @@
+import math
+from itertools import product as iterproduct
+
 import pytest
 
 from crystalgraphs import (Convention, CrystalContext, KGraph, Report, Weight,
                            builtin_datum, count_weak_embeddings, embed_bruhat,
                            embed_right_weak, enumerate_compatible_colorings,
-                           minimal_coloring, run_suite)
+                           run_suite)
 from crystalgraphs import embeddings
 from crystalgraphs.embeddings import check_bruhat_colorings, edge_candidates
 
 from conftest import A1_
+
+
+def minimal_coloring(kg: KGraph) -> dict:
+    """c(e) = sum of the fundamental weights over the edge root's support."""
+    datum = kg.ctx.datum
+    coloring = {}
+    for e in kg.weyl_group.bruhat_graph().edges:
+        lam = datum.zero_weight()
+        for i in datum.supp_root(e.color):
+            lam = lam + datum.fundamental_weight(i)
+        coloring[e] = lam
+    return coloring
 
 
 def test_right_weak_embedding_a2(a2_kg):
@@ -39,16 +54,49 @@ def test_edge_candidates(a2_kg):
     graph = W.bruhat_graph()
     simple_edge = next(e for e in graph.edges
                        if e.src == W.identity and e.color.coords == (1, 0))
-    cands = {w.coords for w in edge_candidates(a2_kg, simple_edge, (1, 1))}
+    cands = {w.coords for w in edge_candidates(a2_kg, simple_edge.color, (1, 1))}
     assert cands == {(1, 0), (1, 1)}
     long_edge = next(e for e in graph.edges if e.color.coords == (1, 1))
-    cands = {w.coords for w in edge_candidates(a2_kg, long_edge, (1, 1))}
+    cands = {w.coords for w in edge_candidates(a2_kg, long_edge.color, (1, 1))}
     assert cands == {(1, 1)}
 
 
 def test_coloring_counts(a2_kg, c2_kg):
     assert len(enumerate_compatible_colorings(a2_kg, (1, 1))) == 64
     assert len(enumerate_compatible_colorings(c2_kg, (1, 1))) == 256
+
+
+def _per_edge_pools(kg, bound) -> tuple:
+    """Each Bruhat edge's pool built from its own root: the dominant weights
+    up to `bound` whose support contains the root's."""
+    datum = kg.ctx.datum
+    pools = []
+    for e in kg.weyl_group.bruhat_graph().edges:
+        support = datum.supp_root(e.color)
+        ranges = [range(1 if i in support else 0, bound[i - 1] + 1)
+                  for i in datum.indices]
+        pools.append(tuple(Weight(c) for c in iterproduct(*ranges)))
+    return tuple(pools)
+
+
+@pytest.mark.parametrize("name, bound, count, edge_colors", [
+    ("A3", (1, 1, 1), 2 ** 96, 204),
+    ("C2", (1, 1), 256, 24),
+])
+def test_one_pool_per_positive_root(name, bound, count, edge_colors):
+    kg = KGraph(CrystalContext(builtin_datum(name)))
+    colorings = enumerate_compatible_colorings(kg, bound)
+    roots = kg.ctx.datum.positive_roots()
+    assert len({id(pool) for pool in colorings.pools}) == len(roots)
+    shared = {}
+    for e, pool in zip(colorings.edges, colorings.pools):
+        assert shared.setdefault(e.color, pool) is pool
+    assert set(shared) == set(roots)
+    per_edge = _per_edge_pools(kg, bound)
+    assert colorings.pools == per_edge
+    assert colorings.count == math.prod(map(len, per_edge)) == count
+    rep = run_suite("embeddings", algebra=name, degree_bound=bound)
+    assert rep.details["bruhat_edge_colors"] == sum(map(len, per_edge)) == edge_colors
 
 
 def test_minimal_coloring_compatible_and_embeds(a2_kg):

@@ -3,7 +3,7 @@ import pytest
 from crystalgraphs import (Convention, CrystalContext, KGraph, KPath,
                            builtin_datum, canonical_isomorphism)
 
-from conftest import A1_, A2_, A3_, B1_, B3_
+from conftest import A1_, A2_, A3_, B1_, B3_, longest
 
 
 def wv(kg, *word):
@@ -26,7 +26,7 @@ def test_weyl_vertex_injective(a2_kg):
 def test_vertex_order_extremes(a2_kg, c2_kg):
     for kg in (a2_kg, c2_kg):
         top = kg.weyl_vertex(kg.weyl_group.identity)
-        bottom = kg.weyl_vertex(kg.weyl_group.longest)
+        bottom = kg.weyl_vertex(longest(kg.weyl_group))
         for v in kg.vertices():
             assert kg.vertex_leq(v, top)
             assert kg.vertex_leq(bottom, v)

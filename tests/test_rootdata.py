@@ -137,5 +137,19 @@ def test_datum_file_roundtrip(tmp_path):
     assert datum.cartan == C2.cartan
     assert resolve_datum(str(path)).rank == 2
     assert resolve_datum("C2").name == "C2"
-    with pytest.raises((ValueError, OSError)):
+    with pytest.raises(ValueError, match="unknown algebra name 'Z9', and no "
+                       "file 'Z9' exists"):
         resolve_datum("Z9")
+
+
+G2_DATA = {"rank": 2, "cartan": [[2, -1], [-3, 2]], "symmetrizer": [3, 1]}
+
+
+@pytest.mark.parametrize("datum", [
+    *(builtin_datum(f"A{r}") for r in range(1, 5)), C2, datum_from_dict(G2_DATA),
+], ids=lambda d: d.name or "G2-data")
+def test_simple_root_weights(datum):
+    assert len(datum.simple_root_weights) == datum.rank
+    for i in datum.indices:
+        assert (datum.simple_root_weights[i - 1]
+                == datum.weight_of_root(datum.simple_root(i)))
