@@ -3,12 +3,15 @@ Cartan components and the Cartan braiding.
 
 A crystal is stored as its lowering maps; zero is an absent value, never a
 sentinel element.  Tensor products support both bracketing conventions behind
-a single flag, through the signature rule over the whole factor list.
+a single flag: their lowering operators follow the signature rule over the
+whole factor list, and they raise through the inverted lowering maps, like
+every other crystal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import deque
 from enum import Enum
@@ -86,22 +89,17 @@ class Crystal:
         return self._e[i].get(b)
 
     def phi(self, i: int, b) -> int:
-        k = 0
-        while (b := self._f[i].get(b)) is not None:
-            k += 1
-        return k
+        return self.string_lengths(i)[b][1]
 
     def epsilon(self, i: int, b) -> int:
-        k = 0
-        while (b := self._e[i].get(b)) is not None:
-            k += 1
-        return k
+        return self.string_lengths(i)[b][0]
 
     def string_lengths(self, i: int) -> dict:
         """(epsilon_i(b), phi_i(b)) for every element b, built on first use.
 
         Each i-string is walked once from its top, so the table costs one
-        pass over the crystal.  The tensor rule reads it for every factor.
+        pass over the crystal.  `phi`, `epsilon`, `validate` and the tensor
+        rule all read it.
         """
         table = self._strings.get(i)
         if table is None:
@@ -132,9 +130,13 @@ class Crystal:
                 if self._wt[b2] != self._wt[b] - alpha:
                     raise ValueError(
                         f"{self.name}: lowering {i} does not shift the weight by -alpha_{i}")
-        for b in self.elements:
-            for i in self.datum.indices:
-                if self.phi(i, b) - self.epsilon(i, b) != self.datum.pairing(self._wt[b], i):
+        # every i-string has a top: a cycle of lowering i would need
+        # wt(b) = wt(b) - k alpha_i, which the weight check above refuses
+        for i in self.datum.indices:
+            strings = self.string_lengths(i)
+            for b in self.elements:
+                eps, phi = strings[b]
+                if phi - eps != self.datum.pairing(self._wt[b], i):
                     raise ValueError(
                         f"{self.name}: phi - epsilon mismatch at {b!r}, index {i}")
 
@@ -210,52 +212,46 @@ def trivial_crystal(datum: RootDatum) -> Crystal:
 
 # -- tensor products --------------------------------------------------------
 
-def _tensor_rule(factors, conv: Convention, i: int, lower: bool) -> tuple:
-    """The operator i of a tensor product, prepared for `_tensor_apply`.
+def _tensor_rule(factors, conv: Convention, i: int) -> tuple:
+    """The lowering operator f_i of a tensor product, prepared for
+    `_tensor_apply`.
 
     This is the signature rule (Bump-Schilling, *Crystal Bases*, 2017): the
     factor b contributes epsilon_i(b) signs - followed by phi_i(b) signs +,
-    and each - cancels the nearest uncancelled + to its left.  Lowering acts on
-    the factor of the first uncancelled +, raising on the factor of the last
-    uncancelled -.  Hong-kang reads the factors left to right, opposite
-    reads them right to left.  The rule is (scan, moves, lower): the
-    (position, string lengths) of the factors in reading order, and the
-    operator's map on each factor.
+    and each - cancels the nearest uncancelled + to its left.  Lowering acts
+    on the factor of the first uncancelled +.  Hong-kang reads the factors
+    left to right, opposite reads them right to left.  The rule is (scan,
+    lowering): the (position, string lengths) of the factors in reading
+    order, and the lowering map f_i of each factor.  No raising rule is
+    needed: a product raises through its inverted lowering maps, like every
+    other `Crystal`.
     """
     positions = range(len(factors))
     if conv is not Convention.HONG_KANG:
         positions = reversed(positions)
     scan = tuple((k, factors[k].string_lengths(i)) for k in positions)
-    moves = tuple((c._f if lower else c._e)[i] for c in factors)
-    return scan, moves, lower
+    return scan, tuple(c._f[i] for c in factors)
 
 
 def _tensor_apply(rule, elem):
-    """Apply a rule of `_tensor_rule` to a tensor element; None encodes 0.
+    """Lower a tensor element by a rule of `_tensor_rule`; None encodes 0.
 
     One pass in reading order keeps `acc`, the number of uncancelled signs
     + so far, and `at`, the position the operator would act on.
     """
-    scan, moves, lower = rule
+    scan, lowering = rule
     acc = 0
     at = -1
-    if lower:
-        for k, strings in scan:
-            eps, phi = strings[elem[k]]
-            if eps >= acc:
-                acc = phi
-                at = k if phi else -1
-            else:
-                acc += phi - eps
-    else:
-        for k, strings in scan:
-            eps, phi = strings[elem[k]]
-            if eps > acc:
-                at = k
-            acc = max(acc - eps, 0) + phi
+    for k, strings in scan:
+        eps, phi = strings[elem[k]]
+        if eps >= acc:
+            acc = phi
+            at = k if phi else -1
+        else:
+            acc += phi - eps
     if at < 0:
         return None
-    return elem[:at] + (moves[at][elem[at]],) + elem[at + 1:]
+    return elem[:at] + (lowering[at][elem[at]],) + elem[at + 1:]
 
 
 def _check_factors(factors):
@@ -269,9 +265,14 @@ def _check_factors(factors):
 
 
 def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
-    """The full tensor product crystal; element ids are tuples of factor ids."""
+    """The full tensor product crystal; element ids are tuples of factor ids.
+
+    Refuses, before building anything, a product over MAX_CRYSTAL_SIZE.
+    """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
+    name = "(" + " x ".join(c.name for c in factors) + ")"
+    _refuse_over_limit(math.prod(map(len, factors)), f"the product {name}")
     elements = list(iterproduct(*[c.elements for c in factors]))
     weights = {}
     for elem in elements:
@@ -281,12 +282,11 @@ def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
         weights[elem] = w
     lowering = {i: {} for i in datum.indices}
     for i in datum.indices:
-        rule = _tensor_rule(factors, conv, i, lower=True)
+        rule = _tensor_rule(factors, conv, i)
         for elem in elements:
             res = _tensor_apply(rule, elem)
             if res is not None:
                 lowering[i][elem] = res
-    name = "(" + " x ".join(c.name for c in factors) + ")"
     return Crystal(datum, elements, weights, lowering, name=name,
                    factors=factors, validate=False)
 
@@ -304,7 +304,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
-    rules = [(i, _tensor_rule(factors, conv, i, lower=True)) for i in datum.indices]
+    rules = [(i, _tensor_rule(factors, conv, i)) for i in datum.indices]
     alpha = datum.simple_root_weights
     seed = tuple(c.hw_element() for c in factors)
     hw = datum.zero_weight()
@@ -447,6 +447,8 @@ def _type_a_fundamental(datum: RootDatum, k: int) -> Crystal:
     """
     from itertools import combinations
 
+    _refuse_over_limit(math.comb(datum.rank + 1, k),
+                       f"B(w{k}) of {datum.name or 'this algebra'}")
     elements = list(combinations(range(1, datum.rank + 2), k))
     weights = {}
     for col in elements:
@@ -491,8 +493,10 @@ def build_fundamental(datum: RootDatum, i: int) -> Crystal:
     if datum.cartan == C2_CARTAN:
         return _c2_fundamental(datum, i)
     raise ValueError(
-        f"no built-in fundamental crystals for datum {datum.name or datum.cartan}; "
-        "register one from a data file")
+        f"no built-in fundamental crystals for datum {datum.name or datum.cartan}: "
+        "they are built in for types A_r and C2 only; for other Cartan data, "
+        "register each B(omega_i) through CrystalContext.register_fundamental "
+        "in the Python API")
 
 
 def _is_listed(listed: set, b) -> bool:
@@ -551,19 +555,24 @@ def crystal_from_file(datum: RootDatum, path: str, name: str = "") -> Crystal:
 
 # -- the context: one algebra, one convention, shared caches -------------------
 
-# The largest highest weight crystal a context builds: B(rho) of A5, with
-# 32,768 elements, is well under it, and B(rho) of A6, with 2,097,152, over.
+# The largest crystal built: B(rho) of A5, with 32,768 elements, is well under
+# it, and B(rho) of A6, with 2,097,152, over.  Contexts hold highest weight
+# crystals to it, `tensor` full products and `_type_a_fundamental` columns.
 MAX_CRYSTAL_SIZE = 200_000
+
+
+def _refuse_over_limit(size: int, what: str) -> int:
+    """size, or a ValueError naming `what` when it is over MAX_CRYSTAL_SIZE."""
+    if size > MAX_CRYSTAL_SIZE:
+        raise ValueError(f"{what} has {size:,} elements, over the limit of "
+                         f"{MAX_CRYSTAL_SIZE:,}")
+    return size
 
 
 def check_crystal_size(datum: RootDatum, lam: Weight) -> int:
     """|B(lam)| by the Weyl dimension formula; ValueError above the limit."""
-    size = datum.dimension(lam)
-    if size > MAX_CRYSTAL_SIZE:
-        raise ValueError(
-            f"B{lam.coords} of {datum.name or 'this algebra'} has {size:,} "
-            f"elements, over the limit of {MAX_CRYSTAL_SIZE:,}")
-    return size
+    return _refuse_over_limit(datum.dimension(lam),
+                              f"B{lam.coords} of {datum.name or 'this algebra'}")
 
 
 class CrystalContext:

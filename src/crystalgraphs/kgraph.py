@@ -132,9 +132,6 @@ class KGraph:
     def range(self, p: KPath) -> tuple:
         return p.vertex
 
-    def degree(self, p: KPath) -> tuple[int, ...]:
-        return p.degree
-
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized."""
         if p not in self._sources:

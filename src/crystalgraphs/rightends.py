@@ -140,7 +140,7 @@ def right_end_inclusion(ctx: CrystalContext, crystal: Crystal, b, mu):
         b = canonical_isomorphism(comp, sorted_real)[b]
         crystal = sorted_real
     lam = crystal.highest_weight
-    if not (ctx.datum.is_dominant(mu) and ctx.datum.dominant_diff(lam, mu)):
+    if not (ctx.datum.is_dominant(mu) and ctx.datum.is_dominant(lam - mu)):
         raise ValueError(f"weights do not satisfy the right-end precondition: "
                          f"{lam} vs {mu}")
     left = ctx.weight_crystal(lam - mu)

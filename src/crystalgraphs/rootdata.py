@@ -30,9 +30,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
     def __rmul__(self, k: int) -> "Weight":
         return Weight(tuple(k * a for a in self.coords))
 
@@ -45,9 +42,6 @@ class RootVector:
     """Root-lattice vector, coordinates in the simple-root basis."""
 
     coords: tuple[int, ...]
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-a for a in self.coords))
@@ -131,10 +125,11 @@ class RootDatum:
     # -- pairings and reflections ----------------------------------------
 
     def pairing(self, lam: Weight | RootVector, i: int) -> int:
-        """The coroot pairing (lam, alpha_i^vee)."""
+        """The coroot pairing (lam, alpha_i^vee); on a root, row i of the
+        Cartan matrix against its simple-root coordinates."""
         self._check_index(i)
         if isinstance(lam, RootVector):
-            lam = self.weight_of_root(lam)
+            return sum(a * c for a, c in zip(self.cartan[i - 1], lam.coords, strict=True))
         return lam.coords[i - 1]
 
     def reflect_weight(self, i: int, lam: Weight) -> Weight:
@@ -213,10 +208,6 @@ class RootDatum:
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam.coords)
-
-    def dominant_diff(self, lam: Weight, mu: Weight) -> bool:
-        """Whether lam - mu has nonnegative fundamental-weight coordinates."""
-        return self.is_dominant(lam - mu)
 
     # -- positive roots -----------------------------------------------------
 

@@ -17,6 +17,11 @@ from .graphs import ColoredDigraph, Edge
 from .rootdata import RootDatum, RootVector, Weight
 
 
+# Generation refuses a group past this size, which any datum of infinite type
+# reaches.
+MAX_GROUP_SIZE = 200_000
+
+
 @dataclass(frozen=True)
 class WeylElement:
     fingerprint: Weight
@@ -42,7 +47,7 @@ class WeylGroup:
         self._reach: dict[WeylElement, frozenset] | None = None
 
     @classmethod
-    def generate(cls, datum: RootDatum, cap: int = 200000) -> "WeylGroup":
+    def generate(cls, datum: RootDatum) -> "WeylGroup":
         """Breadth-first closure over fingerprints, starting from the identity.
 
         Words grow by left multiplication, so every stored word is reduced.
@@ -65,8 +70,9 @@ class WeylGroup:
                         nxt.append(el)
                     row.append(el)
                 left[w] = tuple(row)
-            if len(by_fp) > cap:
-                raise ValueError(f"group size exceeds cap {cap}; is the datum finite type?")
+            if len(by_fp) > MAX_GROUP_SIZE:
+                raise ValueError(f"group size exceeds cap {MAX_GROUP_SIZE}; "
+                                 "is the datum finite type?")
             frontier = nxt
         elements = tuple(sorted(by_fp.values(), key=lambda w: (w.length, w.word)))
         # the reflection t_gamma, keyed to its positive root gamma

@@ -53,3 +53,55 @@ def longest(group):
 # the fundamental elements of A2 in chain order: a1 -> a2 -> a3, b1 -> b2 -> b3
 A1_, A2_, A3_ = (1,), (2,), (3,)
 B1_, B2_, B3_ = (1, 2), (1, 3), (2, 3)
+
+
+# -- string and tensor references: walks, independent of the string tables --
+
+def walk_phi(crystal, i, b) -> int:
+    """phi_i(b) by walking the i-string down from b."""
+    k = 0
+    while (b := crystal.f(i, b)) is not None:
+        k += 1
+    return k
+
+
+def walk_epsilon(crystal, i, b) -> int:
+    """epsilon_i(b) by walking the i-string up from b."""
+    k = 0
+    while (b := crystal.e(i, b)) is not None:
+        k += 1
+    return k
+
+
+def ref_phi_eps(factors, conv, elem, i):
+    """String lengths of a tensor element, folded left to right."""
+    phi = walk_phi(factors[0], i, elem[0])
+    eps = walk_epsilon(factors[0], i, elem[0])
+    for c, b in zip(factors[1:], elem[1:]):
+        p2, e2 = walk_phi(c, i, b), walk_epsilon(c, i, b)
+        if conv is Convention.HONG_KANG:
+            phi, eps = p2 + max(0, phi - e2), eps + max(0, e2 - phi)
+        else:
+            phi, eps = phi + max(0, p2 - eps), e2 + max(0, eps - p2)
+    return phi, eps
+
+
+def ref_apply(factors, conv, elem, i, lower):
+    """A Kashiwara operator on (prefix) (x) (last factor), recursively: the
+    two-factor rule folded left-associatively."""
+    if len(elem) == 1:
+        b2 = factors[0].f(i, elem[0]) if lower else factors[0].e(i, elem[0])
+        return None if b2 is None else (b2,)
+    phi_p, eps_p = ref_phi_eps(factors[:-1], conv, elem[:-1], i)
+    last_c, last_b = factors[-1], elem[-1]
+    if conv is Convention.HONG_KANG:
+        eps_last = walk_epsilon(last_c, i, last_b)
+        act_left = phi_p > eps_last if lower else phi_p >= eps_last
+    else:
+        phi_last = walk_phi(last_c, i, last_b)
+        act_left = not (phi_last > eps_p if lower else phi_last >= eps_p)
+    if act_left:
+        res = ref_apply(factors[:-1], conv, elem[:-1], i, lower)
+        return None if res is None else res + (last_b,)
+    b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
+    return None if b2 is None else elem[:-1] + (b2,)

@@ -134,6 +134,27 @@ def test_braiding_index_out_of_range_is_usage_error(factors):
     assert "Traceback" not in proc.stderr
 
 
+# a braiding table whose crystals would pass the size limit is refused before
+# anything is built: the product of two fundamentals (A10 5,5 has 462 * 462 =
+# 213,444 pairs), or a fundamental itself (A30 15,15 has C(31, 15) columns)
+BRAIDING_TOO_LARGE = [
+    pytest.param("A10", "5,5", "213,444", id="A10-5,5"),
+    pytest.param("A11", "6,6", "853,776", id="A11-6,6"),
+    pytest.param("A14", "7,7", "41,409,225", id="A14-7,7"),
+    pytest.param("A30", "15,15", "300,540,195", id="A30-15,15"),
+]
+
+
+@pytest.mark.parametrize("algebra, factors, size", BRAIDING_TOO_LARGE)
+def test_braiding_too_large_is_refused(algebra, factors, size):
+    proc = run_process("braiding", "--algebra", algebra, "--factors", factors)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert f"has {size} elements, over the limit of 200,000" in proc.stderr
+    assert proc.stdout == ""
+
+
 # a bad value is refused with exit 2 and an error line that names it
 BAD_VALUES = [
     pytest.param(("skeleton", "--algebra", "A0"),
@@ -181,6 +202,18 @@ def test_slides_route_refuses_a_g2_data_file(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "type A" in proc.stderr
+
+
+def test_data_without_builtin_crystals_names_the_way_out(tmp_path):
+    g2 = _cartan_file(tmp_path, [[2, -1], [-3, 2]], [3, 1])
+    proc = run_process("braiding", "--algebra", g2)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: no built-in fundamental crystals for datum {g2}: they are "
+        "built in for types A_r and C2 only; for other Cartan data, register "
+        "each B(omega_i) through CrystalContext.register_fundamental in the "
+        "Python API\n")
 
 
 def test_rightends_routes_agree(capsys):

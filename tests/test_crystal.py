@@ -13,43 +13,8 @@ from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGrou
                            tensor_component, trivial_crystal, weyl_action)
 from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
-from conftest import A1_, A2_, A3_, B1_, B2_, B3_
-
-
-# -- the reference tensor rule: the two-factor rule folded left-associatively
-
-def _ref_phi_eps(factors, conv, elem, i):
-    """String lengths of a tensor element, folded left to right."""
-    phi = factors[0].phi(i, elem[0])
-    eps = factors[0].epsilon(i, elem[0])
-    for c, b in zip(factors[1:], elem[1:]):
-        p2, e2 = c.phi(i, b), c.epsilon(i, b)
-        if conv is Convention.HONG_KANG:
-            phi, eps = p2 + max(0, phi - e2), eps + max(0, e2 - phi)
-        else:
-            phi, eps = phi + max(0, p2 - eps), e2 + max(0, eps - p2)
-    return phi, eps
-
-
-def _ref_apply(factors, conv, elem, i, lower):
-    """A Kashiwara operator on (prefix) (x) (last factor), recursively."""
-    if len(elem) == 1:
-        b2 = factors[0].f(i, elem[0]) if lower else factors[0].e(i, elem[0])
-        return None if b2 is None else (b2,)
-    phi_p, eps_p = _ref_phi_eps(factors[:-1], conv, elem[:-1], i)
-    last_c, last_b = factors[-1], elem[-1]
-    if conv is Convention.HONG_KANG:
-        act_left = phi_p > last_c.epsilon(i, last_b) if lower \
-            else phi_p >= last_c.epsilon(i, last_b)
-    else:
-        act_right = last_c.phi(i, last_b) > eps_p if lower \
-            else last_c.phi(i, last_b) >= eps_p
-        act_left = not act_right
-    if act_left:
-        res = _ref_apply(factors[:-1], conv, elem[:-1], i, lower)
-        return None if res is None else res + (last_b,)
-    b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
-    return None if b2 is None else elem[:-1] + (b2,)
+from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_phi_eps,
+                      walk_epsilon, walk_phi)
 
 
 ORACLE_CONTEXTS = {(name, conv): CrystalContext(builtin_datum(name), conv)
@@ -83,6 +48,24 @@ def test_string_lengths(a2, c2):
     assert all(a2.rho_crystal().epsilon(i, hw) == 0 for i in (1, 2))
 
 
+@pytest.mark.parametrize("name", ["A2", "A3", "C2"])
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+def test_string_lengths_match_walks(name, convention):
+    # the one table behind phi and epsilon, against walking each string
+    ctx = CrystalContext(builtin_datum(name), convention)
+    funds = [ctx.fundamental(i) for i in ctx.datum.indices]
+    crystals = [*funds, ctx.rho_crystal(),
+                *(tensor(pair, convention) for pair in product(funds, repeat=2))]
+    for crystal in crystals:
+        for i in ctx.datum.indices:
+            table = crystal.string_lengths(i)
+            assert set(table) == set(crystal.elements)
+            for b in crystal.elements:
+                walked = (walk_epsilon(crystal, i, b), walk_phi(crystal, i, b))
+                assert table[b] == walked, (crystal, i, b)
+                assert (crystal.epsilon(i, b), crystal.phi(i, b)) == walked
+
+
 def test_hw_element_found_once(a2, monkeypatch):
     B = a2.weight_crystal((1, 1))
     hw = B.hw_element()
@@ -98,7 +81,8 @@ def test_hw_element_found_once(a2, monkeypatch):
 def _hw_by_epsilon(crystal) -> tuple:
     """The elements with epsilon_i = 0 for every i, by walking each string."""
     return tuple(b for b in crystal.elements
-                 if all(crystal.epsilon(i, b) == 0 for i in crystal.datum.indices))
+                 if all(walk_epsilon(crystal, i, b) == 0
+                        for i in crystal.datum.indices))
 
 
 @pytest.mark.parametrize("convention", list(Convention))
@@ -208,25 +192,29 @@ def test_tensor_phi_eps_closed_form_matches_walk(a2, c2_opp):
         P = tensor(factors, ctx.convention)
         for elem in P.elements:
             for i in ctx.datum.indices:
-                phi, eps = _ref_phi_eps(factors, ctx.convention, elem, i)
+                phi, eps = ref_phi_eps(factors, ctx.convention, elem, i)
                 assert phi == P.phi(i, elem)
                 assert eps == P.epsilon(i, elem)
 
 
 def test_signature_rule_matches_reference_fold():
-    # every element, index and direction of every product of at most 3
-    # fundamentals, one pass against the recursive two-factor fold
+    # every element and index of every product of at most 3 fundamentals,
+    # against the recursive two-factor fold: lowering through the rule,
+    # raising through the product's inverted lowering maps
     for (name, conv), ctx in ORACLE_CONTEXTS.items():
         for length in (1, 2, 3):
             for funds in product(ctx.datum.indices, repeat=length):
                 factors = tuple(ctx.fundamental(i) for i in funds)
+                P = tensor(factors, conv)
                 for i in ctx.datum.indices:
-                    for lower in (True, False):
-                        rule = _tensor_rule(factors, conv, i, lower)
-                        for elem in product(*(c.elements for c in factors)):
-                            assert (_tensor_apply(rule, elem)
-                                    == _ref_apply(factors, conv, elem, i, lower)), \
-                                (name, conv.value, funds, elem, i, lower)
+                    rule = _tensor_rule(factors, conv, i)
+                    for elem in product(*(c.elements for c in factors)):
+                        assert (_tensor_apply(rule, elem)
+                                == ref_apply(factors, conv, elem, i, True)), \
+                            (name, conv.value, funds, elem, i, "lower")
+                        assert (P.e(i, elem)
+                                == ref_apply(factors, conv, elem, i, False)), \
+                            (name, conv.value, funds, elem, i, "raise")
 
 
 @given(st.data())
@@ -238,10 +226,13 @@ def test_signature_rule_matches_reference_fold_random(data):
     factors = tuple(ctx.fundamental(i) for i in funds)
     elem = tuple(data.draw(st.sampled_from(c.elements)) for c in factors)
     i = data.draw(st.sampled_from(indices))
-    lower = data.draw(st.booleans())
-    rule = _tensor_rule(factors, ctx.convention, i, lower)
+    rule = _tensor_rule(factors, ctx.convention, i)
     assert (_tensor_apply(rule, elem)
-            == _ref_apply(factors, ctx.convention, elem, i, lower))
+            == ref_apply(factors, ctx.convention, elem, i, True))
+    # raising: the rule lowers the reference's e_i b back to b
+    up = ref_apply(factors, ctx.convention, elem, i, False)
+    if up is not None:
+        assert _tensor_apply(rule, up) == elem
 
 
 def test_weyl_action_examples(a2):

@@ -94,8 +94,8 @@ def test_supports():
 
 def test_dominance():
     assert A2.is_dominant(A2.rho())
-    assert A2.dominant_diff(A2.rho(), w(1, 0))
-    assert not A2.dominant_diff(w(1, 0), w(0, 1))
+    assert A2.is_dominant(A2.rho() - w(1, 0))
+    assert not A2.is_dominant(w(1, 0) - w(0, 1))
 
 
 def test_positive_roots_counts():
@@ -153,3 +153,15 @@ def test_simple_root_weights(datum):
     for i in datum.indices:
         assert (datum.simple_root_weights[i - 1]
                 == datum.weight_of_root(datum.simple_root(i)))
+
+
+@pytest.mark.parametrize("datum", [
+    *(builtin_datum(f"A{r}") for r in range(1, 6)), C2, datum_from_dict(G2_DATA),
+], ids=lambda d: d.name or "G2-data")
+def test_root_pairing_reads_one_cartan_row(datum):
+    # the pairing of a root against the whole weight of that root
+    for gamma in datum.positive_roots():
+        for i in datum.indices:
+            assert (datum.pairing(gamma, i)
+                    == datum.weight_of_root(gamma).coords[i - 1])
+            assert datum.pairing(-gamma, i) == -datum.pairing(gamma, i)

@@ -3,13 +3,21 @@ import pytest
 from crystalgraphs import (CrystalContext, SkewTableau, Tableau, braid_columns,
                            builtin_datum, enumerate_ssyt, from_crystal, is_key,
                            left_key, right_ends_via_slides, right_key, tensor)
+from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
-from conftest import A1_, A2_, A3_, B1_, B2_, B3_
+from conftest import A1_, A2_, A3_, B1_, B2_, B3_, ref_apply
 
 
 def to_crystal(tab):
     """The reversed column list, i.e. the tensor factors of the tableau."""
     return tuple(reversed(tab.columns))
+
+
+def rectify_last_corner(skew):
+    """Rectification sliding into the last inner corner each time."""
+    while skew.inner:
+        skew = skew.slide(skew.inner_corners()[-1])
+    return Tableau(skew.rows_with_holes())
 
 
 def column_reading(skew):
@@ -90,7 +98,7 @@ def test_rectify_straight_is_identity():
 def test_rectification_order_independent():
     skew = SkewTableau.from_rows([[None, None, 1], [None, 2, 3], [2, 4, 5]])
     first = skew.rectify()
-    last = skew.rectify(corner_choice=lambda corners: corners[-1])
+    last = rectify_last_corner(skew)
     assert first == last
     # all of the worked stages rectify to the same tableau
     for rows in ([[None, 1, 3], [2, 2], [4, 5]],
@@ -220,11 +228,14 @@ def _two_column_skews(max_entry):
 
 
 def _apply_reading_op(ctx, skew, i, lower):
-    """A crystal operator through the column reading, back onto the shape."""
+    """A crystal operator through the column reading, back onto the shape:
+    lowering by the signature rule, raising by the reference fold."""
     word = column_reading(skew)
     factors = (ctx.fundamental(1),) * len(word)
-    from crystalgraphs.crystal import _tensor_apply, _tensor_rule
-    res = _tensor_apply(_tensor_rule(factors, ctx.convention, i, lower), word)
+    if lower:
+        res = _tensor_apply(_tensor_rule(factors, ctx.convention, i), word)
+    else:
+        res = ref_apply(factors, ctx.convention, word, i, False)
     if res is None:
         return None
     values = [v[0] for v in res]
@@ -259,5 +270,5 @@ def test_slides_commute_with_reading_operators(a2, a3):
 def test_rectification_order_independent_on_pairs(a3):
     for skew in _two_column_skews(4):
         first = skew.rectify()
-        last = skew.rectify(corner_choice=lambda corners: corners[-1])
+        last = rectify_last_corner(skew)
         assert first == last

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalgraphs import builtin_datum
+from crystalgraphs import builtin_datum, weyl
 from crystalgraphs.weyl import WeylGroup
 
 from conftest import longest
@@ -214,9 +214,10 @@ def test_mixed_group_rejected():
         A2.multiply(A2.identity, C2.identity)
 
 
-def test_generation_cap():
-    with pytest.raises(ValueError):
-        WeylGroup.generate(builtin_datum("A3"), cap=10)
+def test_generation_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_GROUP_SIZE", 10)
+    with pytest.raises(ValueError, match="exceeds cap 10"):
+        WeylGroup.generate(builtin_datum("A3"))
 
 
 def test_graph_export_shapes():
