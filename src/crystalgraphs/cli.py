@@ -159,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--algebra", default="A2",
-                       help="built-in name (A1..A9, C2) or a Cartan data file")
+                       help="built-in name (A<r> for any rank r, or C2) or a "
+                       "Cartan data file; a command runs while its crystals "
+                       "fit the size limit")
         p.add_argument("--convention", default="hong-kang",
                        choices=["hong-kang", "opposite"])
         p.add_argument("-o", "--out", help="write to a file instead of stdout")

@@ -1,16 +1,16 @@
 """Cartan data: weights, roots, coroot pairings, supports and dominance.
 
 Weights are integer vectors in the fundamental-weight basis; root-lattice
-vectors are integer vectors in the simple-root basis.  With these bases every
-coroot pairing is exact integer arithmetic.  The symmetrizer is rational and
-enters only through coroots of non-simple roots and through validation.
+vectors are integer vectors in the simple-root basis; coroots are integer
+vectors in the simple-coroot basis.  Every root fact is read off the Cartan
+matrix in integer arithmetic.  The symmetrizer is validated and read nowhere
+else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -59,7 +59,7 @@ class RootDatum:
 
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
+    symmetrizer: tuple[int, ...]
     name: str = ""
 
     def __post_init__(self):
@@ -119,8 +119,9 @@ class RootDatum:
 
     @cached_property
     def simple_root_weights(self) -> tuple[Weight, ...]:
-        """alpha_1, ..., alpha_r in fundamental-weight coordinates."""
-        return tuple(self.weight_of_root(self.simple_root(i)) for i in self.indices)
+        """alpha_1, ..., alpha_r in fundamental-weight coordinates: the
+        columns of the Cartan matrix."""
+        return tuple(Weight(col) for col in zip(*self.cartan))
 
     # -- pairings and reflections ----------------------------------------
 
@@ -144,56 +145,24 @@ class RootDatum:
         coords[i - 1] -= k
         return RootVector(tuple(coords))
 
-    def _root_norm(self, gamma: RootVector) -> Fraction:
-        """(gamma, gamma) computed through the symmetrizer."""
-        c = gamma.coords
-        total = Fraction(0)
-        for i in range(self.rank):
-            if c[i] == 0:
-                continue
-            for j in range(self.rank):
-                if c[j]:
-                    total += c[i] * c[j] * self.symmetrizer[i] * self.cartan[i][j]
-        return total
-
-    def coroot_coords(self, gamma: RootVector) -> tuple[int, ...]:
-        """Coordinates of gamma^vee in the simple-coroot basis."""
-        half_norm = self._root_norm(gamma) / 2
-        if half_norm <= 0:
-            raise ValueError(f"{gamma} has nonpositive norm")
-        out = []
-        for j in range(self.rank):
-            x = Fraction(gamma.coords[j]) * self.symmetrizer[j] / half_norm
-            if x.denominator != 1:
-                raise ValueError(f"{gamma} does not have an integral coroot")
-            out.append(int(x))
-        return tuple(out)
-
-    def coroot_pairing(self, lam: Weight, gamma: RootVector) -> int:
-        """(lam, gamma^vee) for an arbitrary root-lattice vector gamma."""
-        cv = self.coroot_coords(gamma)
-        return sum(cv[j] * lam.coords[j] for j in range(self.rank))
-
     def reflect_by_root(self, gamma: RootVector, lam: Weight) -> Weight:
         """Reflection of lam in the hyperplane orthogonal to the root gamma."""
-        if not self.is_root(gamma):
+        positive = gamma if gamma in self._coroots else -gamma  # t_{-g} = t_g
+        if positive not in self._coroots:
             raise ValueError(f"{gamma} is not a root of this datum")
-        k = self.coroot_pairing(lam, gamma)
-        return lam - k * self.weight_of_root(gamma)
-
-    @cached_property
-    def _positive_coroots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.coroot_coords(g) for g in self._positive_roots)
+        k = sum(c * x for c, x in zip(self._coroots[positive], lam.coords,
+                                       strict=True))
+        return lam - k * self.weight_of_root(positive)
 
     def dimension(self, lam: Weight) -> int:
         """|B(lam)| for dominant lam, by the Weyl dimension formula: the
         product over positive roots a of (lam + rho, a^v) / (rho, a^v).
 
-        Both are `coroot_pairing`s, taken from coroot coordinates computed
-        once per datum; rho is (1, ..., 1) in these coordinates.
+        Both pair a weight with a coroot of `_coroots`; rho is (1, ..., 1)
+        in these coordinates.
         """
         num = den = 1
-        for cv in self._positive_coroots:
+        for cv in self._coroots.values():
             num *= sum(c * (x + 1) for c, x in zip(cv, lam.coords, strict=True))
             den *= sum(cv)
         return num // den
@@ -212,41 +181,43 @@ class RootDatum:
     # -- positive roots -----------------------------------------------------
 
     @cached_property
-    def _positive_roots(self) -> tuple[RootVector, ...]:
-        """The simple roots closed under reflections, positive ones kept.
+    def _coroots(self) -> dict[RootVector, tuple[int, ...]]:
+        """Each positive root, by height, with its coroot in the simple-coroot
+        basis.
 
+        Closes the simple roots under the simple reflections that raise them.
+        That finds every positive root: a non-simple one, gamma, has an i with
+        (gamma, alpha_i^v) > 0 (its norm is positive), and s_i gamma is then a
+        positive root of smaller height.  When s_i sends gamma to delta, it
+        sends gamma^v to delta^v, lowering entry i by (alpha_i, gamma^v).
         Raises NonFiniteTypeError past 10 * rank**2 positive roots, which
         signals a non-finite-type datum.
         """
         cap = 10 * self.rank * self.rank
-        roots = {self.simple_root(i) for i in self.indices}
-        frontier = list(roots)
+        coroots = {alpha: alpha.coords for alpha in map(self.simple_root, self.indices)}
+        frontier = list(coroots)
         while frontier:
             gamma = frontier.pop()
-            for i in self.indices:
+            cv = coroots[gamma]
+            for i, k in zip(self.indices, self.weight_of_root(gamma).coords):
+                if k >= 0:
+                    continue
                 delta = self.reflect_root(i, gamma)
-                if delta not in roots:
-                    roots.add(delta)
-                    frontier.append(delta)
-            if len(roots) > 2 * cap:
+                if delta in coroots:
+                    continue
+                dv = list(cv)
+                dv[i - 1] -= sum(c * row[i - 1] for c, row in zip(cv, self.cartan))
+                coroots[delta] = tuple(dv)
+                frontier.append(delta)
+            if len(coroots) > cap:
                 raise NonFiniteTypeError(
                     f"more than {cap} positive roots; datum looks non-finite")
-        positive = [g for g in roots if all(c >= 0 for c in g.coords)]
-        for g in roots:
-            if any(c > 0 for c in g.coords) and any(c < 0 for c in g.coords):
-                raise ValueError("root closure produced a mixed-sign vector")
-        if len(positive) > cap:
-            raise NonFiniteTypeError(
-                f"more than {cap} positive roots; datum looks non-finite")
-        positive.sort(key=lambda g: (g.height(), g.coords))
-        return tuple(positive)
+        return dict(sorted(coroots.items(),
+                           key=lambda item: (item[0].height(), item[0].coords)))
 
     def positive_roots(self) -> tuple[RootVector, ...]:
-        """All positive roots, by height; see `_positive_roots`."""
-        return self._positive_roots
-
-    def is_root(self, gamma: RootVector) -> bool:
-        return gamma in self._positive_roots or -gamma in self._positive_roots
+        """All positive roots, by height; see `_coroots`."""
+        return tuple(self._coroots)
 
 
 # -- construction ---------------------------------------------------------
@@ -263,15 +234,15 @@ C2_CARTAN = ((2, -2), (-1, 2))
 
 
 def builtin_datum(name: str) -> RootDatum:
-    """Built-in Cartan data: "A1".."A9" (any "A<r>" accepted) and "C2"."""
+    """Built-in Cartan data: "A<r>" for every rank r >= 1, and "C2"."""
     name = name.strip()
     if name.upper() == "C2":
-        return RootDatum(2, C2_CARTAN, (Fraction(1), Fraction(2)), name="C2")
+        return RootDatum(2, C2_CARTAN, (1, 2), name="C2")
     if name and name[0].upper() == "A" and name[1:].isdigit():
         r = int(name[1:])
         if r < 1:
             raise ValueError(f"bad rank in algebra name {name!r}")
-        return RootDatum(r, type_a_cartan(r), (Fraction(1),) * r, name=f"A{r}")
+        return RootDatum(r, type_a_cartan(r), (1,) * r, name=f"A{r}")
     raise ValueError(f"unknown algebra name {name!r}")
 
 
@@ -288,12 +259,17 @@ def int_rows(rows, error: str) -> tuple[tuple[int, ...], ...]:
 def datum_from_dict(data: dict, name: str = "") -> RootDatum:
     if not isinstance(data, dict):
         raise ValueError("Cartan data must be an object")
+    missing = [key for key in ("rank", "cartan", "symmetrizer") if key not in data]
+    if missing:
+        raise ValueError(f"Cartan data lacks {', '.join(map(repr, missing))}; "
+                         'expected {"rank": r, "cartan": [[...]], '
+                         '"symmetrizer": [...]}')
     rank, symmetrizer = data["rank"], data["symmetrizer"]
     int_rows([[rank], symmetrizer], "the rank and the symmetrizer entries "
              "must be integers")
     cartan = int_rows(data["cartan"], "the Cartan matrix must be an array of "
                       "arrays of integers")
-    return RootDatum(rank, cartan, tuple(map(Fraction, symmetrizer)),
+    return RootDatum(rank, cartan, tuple(symmetrizer),
                      name=name or data.get("name", ""))
 
 

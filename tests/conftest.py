@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from crystalgraphs import Convention, CrystalContext, KGraph, WeylGroup, builtin_datum
+from crystalgraphs import (Convention, CrystalContext, KGraph, Weight, WeylGroup,
+                           builtin_datum)
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +108,51 @@ def ref_apply(factors, conv, elem, i, lower):
         return None if res is None else res + (last_b,)
     b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
     return None if b2 is None else elem[:-1] + (b2,)
+
+
+# -- root-data references: coroots by the norm through the symmetrizer, ------
+# -- roots by the closure under every simple reflection ----------------------
+
+def ref_positive_roots(datum):
+    """The simple roots closed under all simple reflections, both signs kept
+    while closing; the positive ones, by height."""
+    roots = {datum.simple_root(i) for i in datum.indices}
+    frontier = list(roots)
+    while frontier:
+        gamma = frontier.pop()
+        for i in datum.indices:
+            delta = datum.reflect_root(i, gamma)
+            if delta not in roots:
+                roots.add(delta)
+                frontier.append(delta)
+    positive = [g for g in roots if all(c >= 0 for c in g.coords)]
+    return sorted(positive, key=lambda g: (g.height(), g.coords))
+
+
+def ref_coroot(datum, gamma) -> tuple[int, ...]:
+    """gamma^v = 2 gamma / (gamma, gamma) in the simple-coroot basis, where
+    (alpha_i, alpha_j) = d_i a_ij and alpha_j = d_j alpha_j^v."""
+    c, d, a = gamma.coords, datum.symmetrizer, datum.cartan
+    norm = sum(Fraction(c[i] * c[j] * d[i] * a[i][j])
+               for i in range(datum.rank) for j in range(datum.rank))
+    coroot = [2 * c[j] * d[j] / norm for j in range(datum.rank)]
+    assert all(x.denominator == 1 for x in coroot), gamma
+    return tuple(int(x) for x in coroot)
+
+
+def ref_reflect_by_root(datum, gamma, lam) -> Weight:
+    """lam - (lam, gamma^v) gamma, with gamma^v from `ref_coroot`."""
+    k = sum(x * y for x, y in zip(ref_coroot(datum, gamma), lam.coords))
+    return lam - k * datum.weight_of_root(gamma)
+
+
+def ref_dimension(datum, lam) -> int:
+    """The Weyl dimension formula over `ref_positive_roots` and `ref_coroot`."""
+    num = den = Fraction(1)
+    for gamma in ref_positive_roots(datum):
+        cv = ref_coroot(datum, gamma)
+        num *= sum(c * (x + 1) for c, x in zip(cv, lam.coords))
+        den *= sum(cv)
+    quotient = num / den
+    assert quotient.denominator == 1
+    return int(quotient)

@@ -142,6 +142,7 @@ BRAIDING_TOO_LARGE = [
     pytest.param("A11", "6,6", "853,776", id="A11-6,6"),
     pytest.param("A14", "7,7", "41,409,225", id="A14-7,7"),
     pytest.param("A30", "15,15", "300,540,195", id="A30-15,15"),
+    pytest.param("A1000", "1,1", "1,002,001", id="A1000-1,1"),
 ]
 
 
@@ -152,6 +153,16 @@ def test_braiding_too_large_is_refused(algebra, factors, size):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert f"has {size} elements, over the limit of 200,000" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_skeleton_too_large_is_refused():
+    # B(rho) of A40 has 2**820 elements, one per subset of the positive roots
+    proc = run_process("skeleton", "--algebra", "A40")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: B(1, 1, ")
+    assert f"of A40 has {2 ** 820:,} elements, over the limit of 200,000" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -214,6 +225,28 @@ def test_data_without_builtin_crystals_names_the_way_out(tmp_path):
         "built in for types A_r and C2 only; for other Cartan data, register "
         "each B(omega_i) through CrystalContext.register_fundamental in the "
         "Python API\n")
+
+
+def _embeddings_report(capsys, algebra):
+    code, out, _ = run(capsys, "verify", "--suite", "embeddings", "--algebra", algebra)
+    return code, json.loads(out)
+
+
+def test_embeddings_suite_reads_a2_off_the_cartan_matrix(tmp_path, capsys):
+    # a C2 matrix named "A2" gets no A2-only check; an unnamed A2 matrix does
+    c2_named_a2 = tmp_path / "c2.json"
+    c2_named_a2.write_text(json.dumps({"name": "A2", "rank": 2,
+                                       "cartan": [[2, -2], [-1, 2]],
+                                       "symmetrizer": [1, 2]}))
+    code, report = _embeddings_report(capsys, str(c2_named_a2))
+    assert code == 0 and report["failures"] == []
+    assert report["instances_checked"] == _embeddings_report(capsys, "C2")[1][
+        "instances_checked"]
+    a2 = _cartan_file(tmp_path, [[2, -1], [-1, 2]], [1, 1])
+    code, report = _embeddings_report(capsys, a2)
+    assert code == 0
+    assert report["instances_checked"] == _embeddings_report(capsys, "A2")[1][
+        "instances_checked"] == 36
 
 
 def test_rightends_routes_agree(capsys):
@@ -375,6 +408,12 @@ MALFORMED_INPUTS = [
                  id="datum-cartan-not-array"),
     pytest.param("skeleton", {"rank": 2, "cartan": [[2, -1], [-1.5, 2]],
                               "symmetrizer": [1, 1]}, id="datum-float-entry"),
+    pytest.param("skeleton", {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [1, 1]},
+                 id="datum-without-rank"),
+    pytest.param("skeleton", {"rank": 2, "symmetrizer": [1, 1]},
+                 id="datum-without-cartan"),
+    pytest.param("skeleton", {"rank": 2, "cartan": [[2, -1], [-1, 2]]},
+                 id="datum-without-symmetrizer"),
 ]
 
 
@@ -387,6 +426,11 @@ def test_malformed_json_input_exit_code(command, content, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    # a missing key is named, with the shape of a Cartan data file
+    if isinstance(content, dict):
+        for key in {"rank", "cartan", "symmetrizer"} - content.keys():
+            assert f"lacks '{key}'" in proc.stderr
+            assert '"symmetrizer": [...]' in proc.stderr
 
 
 @pytest.mark.slow

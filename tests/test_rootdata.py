@@ -8,6 +8,8 @@ from crystalgraphs import (NonFiniteTypeError, RootVector, Weight,
                            resolve_datum)
 from crystalgraphs.weyl import WeylGroup
 
+from conftest import ref_dimension, ref_positive_roots, ref_reflect_by_root
+
 A2 = builtin_datum("A2")
 C2 = builtin_datum("C2")
 
@@ -142,12 +144,33 @@ def test_datum_file_roundtrip(tmp_path):
         resolve_datum("Z9")
 
 
-G2_DATA = {"rank": 2, "cartan": [[2, -1], [-3, 2]], "symmetrizer": [3, 1]}
+# Cartan data files of the other types, in this package's convention
+# (row i of the matrix is alpha_i^v paired with each simple root)
+DATA_FILES = {
+    "G2": {"rank": 2, "cartan": [[2, -1], [-3, 2]], "symmetrizer": [3, 1]},
+    "B3": {"rank": 3, "cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+           "symmetrizer": [2, 2, 1]},
+    "C3": {"rank": 3, "cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+           "symmetrizer": [1, 1, 2]},
+    # node 2 central
+    "D4": {"rank": 4, "cartan": [[2, -1, 0, 0], [-1, 2, -1, -1],
+                                 [0, -1, 2, 0], [0, -1, 0, 2]],
+           "symmetrizer": [1, 1, 1, 1]},
+    "F4": {"rank": 4, "cartan": [[2, -1, 0, 0], [-1, 2, -2, 0],
+                                 [0, -1, 2, -1], [0, 0, -1, 2]],
+           "symmetrizer": [1, 1, 2, 2]},
+}
+FILE_DATA = {name: datum_from_dict(data, name=f"{name}-data")
+             for name, data in DATA_FILES.items()}
+DATA = [*(builtin_datum(f"A{r}") for r in range(1, 7)), C2, *FILE_DATA.values()]
+
+# |Phi^+|, the dimensions of the fundamental modules, and |B(rho)| = 2**|Phi^+|
+KNOWN_SIZES = {"G2": (6, [14, 7], 64), "B3": (9, [7, 21, 8], 512),
+               "C3": (9, [6, 14, 14], 512), "D4": (12, [8, 28, 8, 8], 4096),
+               "F4": (24, [26, 273, 1274, 52], 16_777_216)}
 
 
-@pytest.mark.parametrize("datum", [
-    *(builtin_datum(f"A{r}") for r in range(1, 5)), C2, datum_from_dict(G2_DATA),
-], ids=lambda d: d.name or "G2-data")
+@pytest.mark.parametrize("datum", DATA, ids=lambda d: d.name)
 def test_simple_root_weights(datum):
     assert len(datum.simple_root_weights) == datum.rank
     for i in datum.indices:
@@ -155,9 +178,7 @@ def test_simple_root_weights(datum):
                 == datum.weight_of_root(datum.simple_root(i)))
 
 
-@pytest.mark.parametrize("datum", [
-    *(builtin_datum(f"A{r}") for r in range(1, 6)), C2, datum_from_dict(G2_DATA),
-], ids=lambda d: d.name or "G2-data")
+@pytest.mark.parametrize("datum", DATA, ids=lambda d: d.name)
 def test_root_pairing_reads_one_cartan_row(datum):
     # the pairing of a root against the whole weight of that root
     for gamma in datum.positive_roots():
@@ -165,3 +186,37 @@ def test_root_pairing_reads_one_cartan_row(datum):
             assert (datum.pairing(gamma, i)
                     == datum.weight_of_root(gamma).coords[i - 1])
             assert datum.pairing(-gamma, i) == -datum.pairing(gamma, i)
+
+
+@pytest.mark.parametrize("datum", DATA, ids=lambda d: d.name)
+def test_positive_roots_match_reference(datum):
+    assert list(datum.positive_roots()) == ref_positive_roots(datum)
+
+
+@pytest.mark.parametrize("datum", DATA, ids=lambda d: d.name)
+def test_reflect_by_root_matches_reference(datum):
+    weights = [datum.rho(), *(datum.fundamental_weight(i) for i in datum.indices),
+               Weight(tuple(range(-1, datum.rank - 1)))]
+    for gamma in datum.positive_roots():
+        for lam in weights:
+            image = datum.reflect_by_root(gamma, lam)
+            assert image == ref_reflect_by_root(datum, gamma, lam), (gamma, lam)
+            # t_{-gamma} = t_gamma
+            assert datum.reflect_by_root(-gamma, lam) == image, (gamma, lam)
+            assert datum.reflect_by_root(gamma, image) == lam
+
+
+@pytest.mark.parametrize("datum", DATA, ids=lambda d: d.name)
+def test_dimension_matches_reference(datum):
+    for lam in (datum.rho(), *(datum.fundamental_weight(i) for i in datum.indices)):
+        assert datum.dimension(lam) == ref_dimension(datum, lam), lam
+
+
+@pytest.mark.parametrize("name", KNOWN_SIZES)
+def test_known_sizes_of_data_files(name):
+    datum = FILE_DATA[name]
+    roots, fundamentals, rho = KNOWN_SIZES[name]
+    assert len(datum.positive_roots()) == roots
+    assert [datum.dimension(datum.fundamental_weight(i))
+            for i in datum.indices] == fundamentals
+    assert datum.dimension(datum.rho()) == rho == 2 ** roots
