@@ -1,11 +1,12 @@
 """Finite crystals: Kashiwara operators, tensor products, Weyl action,
 Cartan components and the Cartan braiding.
 
-A crystal is stored as its lowering maps; zero is an absent value, never a
-sentinel element.  Tensor products support both bracketing conventions behind
-a single flag: their lowering operators follow the signature rule over the
-whole factor list, and they raise through the inverted lowering maps, like
-every other crystal.
+A crystal stores its elements, one membership set and its lowering maps; zero
+is an absent value, never a sentinel element.  Raising maps are inverted per
+index on first use.  Only a crystal given weights (fundamentals, data files)
+stores them; a tensor product or component sums its factors' weights.  Tensor
+products support both bracketing conventions behind a single flag: their
+lowering operators follow the signature rule over the whole factor list.
 """
 
 from __future__ import annotations
@@ -34,35 +35,31 @@ def as_convention(value) -> Convention:
 
 
 class Crystal:
-    """A finite crystal: element ids, a weight map, and partial operators.
+    """A finite crystal: element ids and partial lowering operators.
 
     ``lowering[i][b] = b'`` encodes that the i-th lowering operator sends b to
-    b'; absence encodes the value 0.  Raising maps are derived by inversion.
+    b'; absence encodes the value 0.  The maps are kept, not copied.  Given
+    ``weights``, the crystal stores and validates them; given None, the
+    weight of a tuple element is the sum of its ``factors``' weights.
     """
 
     def __init__(self, datum: RootDatum, elements, weights, lowering,
-                 name: str = "B", factors=None, validate: bool = True):
+                 name: str = "B", factors=None):
         self.datum = datum
         self.name = name
         self.elements = tuple(elements)
         self.factors = tuple(factors) if factors is not None else None
-        self._wt = dict(weights)
-        self._f = {i: dict(lowering.get(i, {})) for i in datum.indices}
-        self._e: dict[int, dict] = {}
-        for i, fmap in self._f.items():
-            inv = {}
-            for b, b2 in fmap.items():
-                if b2 in inv:
-                    raise ValueError(f"{name}: lowering operator {i} is not injective")
-                inv[b2] = b
-            self._e[i] = inv
-        if len(set(self.elements)) != len(self.elements):
+        self._wt = weights
+        self._members = set(self.elements)
+        if len(self._members) != len(self.elements):
             raise ValueError(f"{name}: duplicate element ids")
+        self._f = {i: lowering.get(i, {}) for i in datum.indices}
+        self._e: dict[int, dict] = {}
         self._desc: dict = {}
         self._strings: dict[int, dict] = {}
         self._hw = None
         self._extremal: dict[tuple, object] = {}
-        if validate:
+        if weights is not None:
             self.validate()
 
     def __len__(self):
@@ -72,13 +69,18 @@ class Crystal:
         return iter(self.elements)
 
     def __contains__(self, b):
-        return b in self._wt
+        return b in self._members
 
     def __repr__(self):
         return f"Crystal({self.name}, {len(self.elements)} elements)"
 
     def wt(self, b) -> Weight:
-        return self._wt[b]
+        if self._wt is not None:
+            return self._wt[b]
+        w = self.datum.zero_weight()
+        for c, x in zip(self.factors, b, strict=True):
+            w = w + c.wt(x)
+        return w
 
     def f(self, i: int, b):
         """Lowering operator; None encodes 0."""
@@ -86,7 +88,19 @@ class Crystal:
 
     def e(self, i: int, b):
         """Raising operator; None encodes 0."""
-        return self._e[i].get(b)
+        return self._raising(i).get(b)
+
+    def _raising(self, i: int) -> dict:
+        """The inverse of lowering map i, built on first use; raises if that
+        map is not injective."""
+        emap = self._e.get(i)
+        if emap is None:
+            fmap = self._f[i]
+            emap = {b2: b for b, b2 in fmap.items()}
+            if len(emap) != len(fmap):
+                raise ValueError(f"{self.name}: lowering operator {i} is not injective")
+            self._e[i] = emap
+        return emap
 
     def phi(self, i: int, b) -> int:
         return self.string_lengths(i)[b][1]
@@ -104,7 +118,7 @@ class Crystal:
         table = self._strings.get(i)
         if table is None:
             table = {}
-            fmap, emap = self._f[i], self._e[i]
+            fmap, emap = self._f[i], self._raising(i)
             for head in self.elements:
                 if head in emap:
                     continue
@@ -120,14 +134,13 @@ class Crystal:
     def validate(self) -> None:
         r = self.datum.rank
         for b in self.elements:
-            w = self._wt[b]
-            if len(w.coords) != r:
+            if len(self.wt(b).coords) != r:
                 raise ValueError(f"{self.name}: weight of {b!r} has wrong rank")
         for i, alpha in zip(self.datum.indices, self.datum.simple_root_weights):
             for b, b2 in self._f[i].items():
-                if b not in self._wt or b2 not in self._wt:
+                if b not in self or b2 not in self:
                     raise ValueError(f"{self.name}: operator {i} touches unknown elements")
-                if self._wt[b2] != self._wt[b] - alpha:
+                if self.wt(b2) != self.wt(b) - alpha:
                     raise ValueError(
                         f"{self.name}: lowering {i} does not shift the weight by -alpha_{i}")
         # every i-string has a top: a cycle of lowering i would need
@@ -136,7 +149,7 @@ class Crystal:
             strings = self.string_lengths(i)
             for b in self.elements:
                 eps, phi = strings[b]
-                if phi - eps != self.datum.pairing(self._wt[b], i):
+                if phi - eps != self.datum.pairing(self.wt(b), i):
                     raise ValueError(
                         f"{self.name}: phi - epsilon mismatch at {b!r}, index {i}")
 
@@ -145,7 +158,7 @@ class Crystal:
     def highest_weight_elements(self) -> tuple:
         """The elements no raising operator reaches: epsilon_i(b) = 0 for all
         i means that b is the image of no lowering operator."""
-        raised = self._e.values()
+        raised = [self._raising(i) for i in self.datum.indices]
         return tuple(b for b in self.elements
                      if not any(b in emap for emap in raised))
 
@@ -161,7 +174,7 @@ class Crystal:
 
     @property
     def highest_weight(self) -> Weight:
-        return self._wt[self.hw_element()]
+        return self.wt(self.hw_element())
 
     def _reach(self, b, maps) -> list:
         """b and everything reachable from it along `maps`, breadth first,
@@ -179,16 +192,7 @@ class Crystal:
     def component_elements(self, b) -> tuple:
         """Elements reachable from b under all operators, in BFS order."""
         return tuple(self._reach(b, [m for i in self.datum.indices
-                                     for m in (self._f[i], self._e[i])]))
-
-    def connected_component(self, b) -> "Crystal":
-        elems = self.component_elements(b)
-        keep = set(elems)
-        lowering = {i: {x: y for x, y in self._f[i].items() if x in keep}
-                    for i in self.datum.indices}
-        return Crystal(self.datum, elems, {x: self._wt[x] for x in elems},
-                       lowering, name=f"{self.name}.comp", factors=self.factors,
-                       validate=False)
+                                     for m in (self._f[i], self._raising(i))]))
 
     def is_connected(self) -> bool:
         return len(self.component_elements(self.elements[0])) == len(self.elements)
@@ -206,8 +210,7 @@ class Crystal:
 
 def trivial_crystal(datum: RootDatum) -> Crystal:
     """B(0): a single element of weight zero, with empty factor list."""
-    return Crystal(datum, [()], {(): datum.zero_weight()}, {},
-                   name="B(0)", factors=(), validate=False)
+    return Crystal(datum, [()], None, {}, name="B(0)", factors=())
 
 
 # -- tensor products --------------------------------------------------------
@@ -274,12 +277,6 @@ def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
     name = "(" + " x ".join(c.name for c in factors) + ")"
     _refuse_over_limit(math.prod(map(len, factors)), f"the product {name}")
     elements = list(iterproduct(*[c.elements for c in factors]))
-    weights = {}
-    for elem in elements:
-        w = datum.zero_weight()
-        for c, b in zip(factors, elem):
-            w = w + c.wt(b)
-        weights[elem] = w
     lowering = {i: {} for i in datum.indices}
     for i in datum.indices:
         rule = _tensor_rule(factors, conv, i)
@@ -287,8 +284,7 @@ def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
             res = _tensor_apply(rule, elem)
             if res is not None:
                 lowering[i][elem] = res
-    return Crystal(datum, elements, weights, lowering, name=name,
-                   factors=factors, validate=False)
+    return Crystal(datum, elements, None, lowering, name=name, factors=factors)
 
 
 def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
@@ -296,30 +292,21 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
 
     The component of the product of highest weight elements is a highest
     weight crystal, so the lowering operators alone reach all of it from that
-    element, breadth first; raising maps follow by inversion.  A new element
-    takes the weight of the element it was lowered from, minus alpha_i (each
-    factor's lowering shifts its weight so, and `Crystal.validate` checks
-    that), and equal weights share one object.  Only the component is ever
-    materialized, so large ambient products cost nothing.
+    element, breadth first.  The component stores its elements and lowering
+    maps; weights are sums over the factors and raising maps are inverted on
+    first use, as for every crystal with a factor list.  Only the component is
+    ever materialized, so large ambient products cost nothing.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
     rules = [(i, _tensor_rule(factors, conv, i)) for i in datum.indices]
-    alpha = datum.simple_root_weights
     seed = tuple(c.hw_element() for c in factors)
-    hw = datum.zero_weight()
-    for c, b in zip(factors, seed):
-        hw = hw + c.wt(b)
     # `seen` maps each element to the one tuple that `order` and the maps
     # share; `order` grows while the loop walks it, which makes it a queue
     seen = {seed: seed}
     order = [seed]
-    weights = {seed: hw}
-    shifted: dict[tuple, Weight] = {}   # (weight, i) -> weight - alpha_i
-    pool = {hw: hw}
     lowering = {i: {} for i in datum.indices}
     for elem in order:
-        w = weights[elem]
         for i, rule in rules:
             down = _tensor_apply(rule, elem)
             if down is None:
@@ -327,25 +314,25 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
             kept = seen.setdefault(down, down)
             if kept is down:
                 order.append(down)
-                w2 = shifted.get((w, i))
-                if w2 is None:
-                    w2 = w - alpha[i - 1]
-                    w2 = shifted[(w, i)] = pool.setdefault(w2, w2)
-                weights[down] = w2
             lowering[i][elem] = kept
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
-    return Crystal(datum, order, weights, lowering, name=name,
-                   factors=factors, validate=False)
+    return Crystal(datum, order, None, lowering, name=name, factors=factors)
 
 
 def cartan_component(crystal: Crystal) -> Crystal:
-    """The component of the product of highest weight elements."""
+    """The component of the product of highest weight elements, found by
+    breadth-first search over all operators."""
     if crystal.factors is None:
         raise ValueError(f"{crystal.name} has no recorded factor list")
     if not crystal.factors:
         return crystal
-    seed = tuple(c.hw_element() for c in crystal.factors)
-    return crystal.connected_component(seed)
+    elems = crystal.component_elements(
+        tuple(c.hw_element() for c in crystal.factors))
+    keep = set(elems)
+    lowering = {i: {x: y for x, y in fmap.items() if x in keep}
+                for i, fmap in crystal._f.items()}
+    return Crystal(crystal.datum, elems, None, lowering,
+                   name=f"{crystal.name}.comp", factors=crystal.factors)
 
 
 # -- Weyl group action -------------------------------------------------------
@@ -539,8 +526,7 @@ def crystal_from_dict(datum: RootDatum, data: dict, name: str = "") -> Crystal:
             raise ValueError(f'operator {i} of "f" maps an element that is '
                              'not listed in "elements"')
         lowering[int(i)] = dict(fmap)
-    crystal = Crystal(datum, elements, weights, lowering,
-                      name=name or "B(file)", validate=True)
+    crystal = Crystal(datum, elements, weights, lowering, name=name or "B(file)")
     if not crystal.is_connected():
         raise ValueError("crystal data file is not connected")
     if crystal.highest_weight != declared:

@@ -189,17 +189,20 @@ class RootDatum:
         That finds every positive root: a non-simple one, gamma, has an i with
         (gamma, alpha_i^v) > 0 (its norm is positive), and s_i gamma is then a
         positive root of smaller height.  When s_i sends gamma to delta, it
-        sends gamma^v to delta^v, lowering entry i by (alpha_i, gamma^v).
+        sends gamma^v to delta^v, lowering entry i by (alpha_i, gamma^v), and
+        the weight of delta is that of gamma minus k alpha_i, where
+        k = (gamma, alpha_i^v): each step is O(rank).
         Raises NonFiniteTypeError past 10 * rank**2 positive roots, which
         signals a non-finite-type datum.
         """
         cap = 10 * self.rank * self.rank
         coroots = {alpha: alpha.coords for alpha in map(self.simple_root, self.indices)}
+        weights = dict(zip(coroots, self.simple_root_weights))
         frontier = list(coroots)
         while frontier:
             gamma = frontier.pop()
-            cv = coroots[gamma]
-            for i, k in zip(self.indices, self.weight_of_root(gamma).coords):
+            cv, wt = coroots[gamma], weights[gamma]
+            for i, k in zip(self.indices, wt.coords):
                 if k >= 0:
                     continue
                 delta = self.reflect_root(i, gamma)
@@ -208,6 +211,7 @@ class RootDatum:
                 dv = list(cv)
                 dv[i - 1] -= sum(c * row[i - 1] for c, row in zip(cv, self.cartan))
                 coroots[delta] = tuple(dv)
+                weights[delta] = wt - k * self.simple_root_weights[i - 1]
                 frontier.append(delta)
             if len(coroots) > cap:
                 raise NonFiniteTypeError(

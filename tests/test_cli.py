@@ -157,13 +157,16 @@ def test_braiding_too_large_is_refused(algebra, factors, size):
 
 
 def test_skeleton_too_large_is_refused():
-    # B(rho) of A40 has 2**820 elements, one per subset of the positive roots
-    proc = run_process("skeleton", "--algebra", "A40")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: B(1, 1, ")
-    assert f"of A40 has {2 ** 820:,} elements, over the limit of 200,000" in proc.stderr
-    assert proc.stdout == ""
+    # B(rho) of A_r has 2**N elements, one per subset of the N = r(r+1)/2
+    # positive roots
+    for r in (40, 100):
+        proc = run_process("skeleton", "--algebra", f"A{r}")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: B(1, 1, ")
+        size = 2 ** (r * (r + 1) // 2)
+        assert f"of A{r} has {size:,} elements, over the limit of 200,000" in proc.stderr
+        assert proc.stdout == ""
 
 
 # a bad value is refused with exit 2 and an error line that names it

@@ -9,7 +9,7 @@ from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGrou
                            canonical_isomorphism,
                            cartan_braiding, cartan_component,
                            crystal_from_dict, crystal_from_file,
-                           extremal_element, load_datum, tensor,
+                           extremal_element, from_crystal, load_datum, tensor,
                            tensor_component, trivial_crystal, weyl_action)
 from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
@@ -320,11 +320,27 @@ def test_tensor_component_matches_full_product_component():
                 lazy = tensor_component(factors, convention)
                 full = cartan_component(tensor(factors, convention))
                 assert set(lazy.elements) == set(full.elements), case
-                assert all(lazy.wt(b) == full.wt(b) for b in full.elements), case
                 for i in indices:
                     assert all(lazy.f(i, b) == full.f(i, b)
                                for b in full.elements), (case, i)
                 lazy.validate()
+        # both sides above sum factor weights, so weights are checked here
+        # against B(lam) itself: lowering shifts them by -alpha_i, pairings
+        # match the string lengths, and the top has weight lam
+        bound = (1, 1, 1) if name == "A3" else (2, 2)
+        for lam in product(*(range(k + 1) for k in bound)):
+            crystal = ctx.weight_crystal(lam)
+            crystal.validate()
+            assert crystal.highest_weight == Weight(lam), (name, convention, lam)
+    # and against the tableau: entry i adds eps_i - eps_{i+1}, so coordinate
+    # i of the weight is the number of entries i minus that of entries i+1
+    for name, lam in (("A2", (2, 2)), ("A3", (1, 1, 1))):
+        crystal = ORACLE_CONTEXTS[(name, Convention.HONG_KANG)].weight_crystal(lam)
+        for b in crystal:
+            entries = [v for row in from_crystal(b).rows for v in row]
+            content = tuple(entries.count(i) - entries.count(i + 1)
+                            for i in crystal.datum.indices)
+            assert crystal.wt(b) == Weight(content), (name, b)
 
 
 def test_weyl_dimension_matches_built_sizes():
@@ -456,6 +472,14 @@ def test_crystal_from_dict_refuses_malformed_data(c2, bad):
         data[key] = value
     with pytest.raises(ValueError):
         crystal_from_dict(c2.datum, data)
+
+
+def test_crystal_from_dict_refuses_non_injective_lowering():
+    # x and y both lower to z, with weights that pass the weight checks
+    data = {"weight": [1], "elements": ["x", "y", "z"],
+            "wt": {"x": [1], "y": [1], "z": [-1]}, "f": {"1": {"x": "z", "y": "z"}}}
+    with pytest.raises(ValueError, match="lowering operator 1 is not injective"):
+        crystal_from_dict(builtin_datum("A1"), data)
 
 
 @pytest.mark.parametrize("data", [5, "crystal", [], None, {}],
