@@ -1,7 +1,7 @@
 """Finite crystals: Kashiwara operators, tensor products, Weyl action,
 Cartan components and the Cartan braiding.
 
-A crystal stores its elements, one membership set and its lowering maps; zero
+A crystal stores its elements, the position of each and its lowering maps; zero
 is an absent value, never a sentinel element.  Raising maps are inverted per
 index on first use.  Only a crystal given weights (fundamentals, data files)
 stores them; a tensor product or component sums its factors' weights.  Tensor
@@ -50,8 +50,8 @@ class Crystal:
         self.elements = tuple(elements)
         self.factors = tuple(factors) if factors is not None else None
         self._wt = weights
-        self._members = set(self.elements)
-        if len(self._members) != len(self.elements):
+        self._index = {b: k for k, b in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
             raise ValueError(f"{name}: duplicate element ids")
         self._f = {i: lowering.get(i, {}) for i in datum.indices}
         self._e: dict[int, dict] = {}
@@ -69,7 +69,11 @@ class Crystal:
         return iter(self.elements)
 
     def __contains__(self, b):
-        return b in self._members
+        return b in self._index
+
+    def position(self, b) -> int | None:
+        """The position of b in `elements`; None when b is not an element."""
+        return self._index.get(b)
 
     def __repr__(self):
         return f"Crystal({self.name}, {len(self.elements)} elements)"
@@ -434,8 +438,7 @@ def _type_a_fundamental(datum: RootDatum, k: int) -> Crystal:
     """
     from itertools import combinations
 
-    _refuse_over_limit(math.comb(datum.rank + 1, k),
-                       f"B(w{k}) of {datum.name or 'this algebra'}")
+    fundamental_size(datum, k)   # refuses a count over the limit
     elements = list(combinations(range(1, datum.rank + 2), k))
     weights = {}
     for col in elements:
@@ -470,6 +473,18 @@ def _c2_fundamental(datum: RootDatum, k: int) -> Crystal:
                     weights[b2] = weights[b] - alpha[i - 1]
                     changed = True
     return Crystal(datum, elements, weights, lowering, name=f"B(w{k})")
+
+
+def fundamental_size(datum: RootDatum, k: int) -> int | None:
+    """|B(omega_k)| of the built-in realization, known before it is built:
+    C(rank + 1, k) columns in type A_r; None for other Cartan data.
+
+    Refuses a type A count over MAX_CRYSTAL_SIZE.
+    """
+    if datum.cartan != type_a_cartan(datum.rank):
+        return None
+    return _refuse_over_limit(math.comb(datum.rank + 1, k),
+                              f"B(w{k}) of {datum.name or 'this algebra'}")
 
 
 def build_fundamental(datum: RootDatum, i: int) -> Crystal:
@@ -642,8 +657,16 @@ class CrystalContext:
         return self.weight_crystal(self.rho)
 
     def braiding(self, i: int, j: int) -> dict:
-        """Braiding table between fundamental crystals i and j."""
+        """Braiding table between fundamental crystals i and j.
+
+        Refuses, before building either fundamental, a product whose size is
+        known to be over MAX_CRYSTAL_SIZE.
+        """
         if (i, j) not in self._braidings:
+            sizes = [fundamental_size(self.datum, k) for k in (i, j)]
+            if None not in sizes:
+                _refuse_over_limit(sizes[0] * sizes[1],
+                                   f"the product (B(w{i}) x B(w{j}))")
             self._braidings[(i, j)] = cartan_braiding(
                 self.fundamental(i), self.fundamental(j), self.convention)
         return self._braidings[(i, j)]

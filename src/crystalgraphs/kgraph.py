@@ -8,11 +8,12 @@ the skeleton, exhaustive enumeration and the factorization axiom live here.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import product as iterproduct
 from typing import NamedTuple
 
-from .crystal import CrystalContext, extremal_element
+from .crystal import Crystal, CrystalContext, extremal_element
 from .graphs import ColoredDigraph, Edge
 from .rightends import (apply_plan, braid_plan, in_cartan_component,
                         right_end_chain, right_end_tuple, sorting_word)
@@ -25,6 +26,26 @@ class KPath(NamedTuple):
     vertex: tuple
     element: tuple
     degree: tuple[int, ...]
+
+
+# the codes of a product-table slot that holds no target position
+UNSET, OFF = -1, -2
+
+
+class ProductTable(NamedTuple):
+    """The products of B(deg1) with B(deg2): the braid plan that sorts their
+    factor lists, the three realizations, the summed degree, and one slot per
+    element pair, in rows by the left element: UNSET until computed, OFF
+    when the product left the Cartan component, else its position in
+    `target`."""
+
+    plan: tuple
+    left: Crystal
+    right: Crystal
+    target: Crystal
+    degree: tuple[int, ...]
+    width: int      # |right|, the length of a row of slots
+    slots: array
 
 
 class KGraph:
@@ -41,7 +62,7 @@ class KGraph:
         self._rows: dict[tuple, tuple[dict, ...]] = {}
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
-        self._compose_plans: dict[tuple, tuple] = {}
+        self._products: dict[tuple, ProductTable] = {}
         self._skeleton: ColoredDigraph | None = None
 
     # -- vertices -----------------------------------------------------------
@@ -146,35 +167,58 @@ class KGraph:
 
     # -- composition ----------------------------------------------------------
 
-    def _compose_plan(self, deg1: tuple, deg2: tuple) -> tuple:
-        """(braid plan, target crystal, degree) for composing deg1 with deg2.
+    def _product_table(self, deg1: tuple, deg2: tuple) -> ProductTable:
+        """The products of B(deg1) with B(deg2), one slot per element pair.
 
         The plan sorts funds(deg1) + funds(deg2) by adjacent braidings.  Each
         braiding is the canonical isomorphism between Cartan components, so
         the plan maps the Cartan component of the product onto the sorted
         realization of B(deg1 + deg2) and takes every other element to 0 or
-        outside that realization.
+        outside that realization.  Slots are filled by `_product`.
         """
-        funds = (self.ctx.fundamental_indices(deg1)
-                 + self.ctx.fundamental_indices(deg2))
-        degree = tuple(a + b for a, b in zip(deg1, deg2))
-        return (braid_plan(self.ctx, funds, sorting_word(funds)),
-                self.ctx.weight_crystal(degree), degree)
+        key = (deg1, deg2)
+        entry = self._products.get(key)
+        if entry is None:
+            ctx = self.ctx
+            funds = ctx.fundamental_indices(deg1) + ctx.fundamental_indices(deg2)
+            degree = tuple(a + b for a, b in zip(deg1, deg2))
+            left, right = ctx.weight_crystal(deg1), ctx.weight_crystal(deg2)
+            target = ctx.weight_crystal(degree)
+            code = "h" if len(target) < 32767 else "i"
+            entry = self._products[key] = ProductTable(
+                braid_plan(ctx, funds, sorting_word(funds)), left, right,
+                target, degree, len(right),
+                array(code, [UNSET]) * (len(left) * len(right)))
+        return entry
+
+    def _product(self, entry: ProductTable, i1: int, i2: int) -> int:
+        """The position in entry.target of the product of elements i1 of
+        entry.left and i2 of entry.right; raises if it left the Cartan
+        component.  Each slot runs the plan at most once."""
+        k = i1 * entry.width + i2
+        t = entry.slots[k]
+        if t < 0:
+            if t == UNSET:
+                elem = apply_plan(entry.plan, entry.left.elements[i1]
+                                  + entry.right.elements[i2])
+                pos = None if elem is None else entry.target.position(elem)
+                t = entry.slots[k] = OFF if pos is None else pos
+            if t == OFF:
+                raise RuntimeError(
+                    f"{entry.left.elements[i1]!r} (x) {entry.right.elements[i2]!r} "
+                    f"left the Cartan component of B{entry.degree}")
+        return t
 
     def compose(self, p: KPath, q: KPath) -> KPath:
         """(p, q) -> (range p, projection of b_p (x) b_q); needs s(p) = r(q)."""
         if self.source(p) != q.vertex:
             raise ValueError("paths are not composable: source(p) != range(q)")
-        key = (p.degree, q.degree)
-        if key not in self._compose_plans:
-            self._compose_plans[key] = self._compose_plan(p.degree, q.degree)
-        plan, target, degree = self._compose_plans[key]
-        elem = apply_plan(plan, p.element + q.element)
-        if elem is None or elem not in target:
-            raise RuntimeError(
-                f"{p} and {q} are composable but their product left the "
-                "Cartan component")
-        return KPath(p.vertex, elem, degree)
+        entry = self._product_table(p.degree, q.degree)
+        i2 = entry.right.position(q.element)
+        if i2 is None:
+            raise ValueError(f"{q.element!r} is not an element of B{q.degree}")
+        t = self._product(entry, entry.left.position(p.element), i2)
+        return KPath(p.vertex, entry.target.elements[t], entry.degree)
 
     # -- enumeration ------------------------------------------------------------
 
@@ -228,15 +272,19 @@ class KGraph:
         m, n = tuple(m), tuple(n)
         if tuple(a + b for a, b in zip(m, n)) != p.degree:
             raise ValueError(f"split {m} + {n} does not add up to {p.degree}")
+        entry = self._product_table(m, n)
+        want = entry.target.position(p.element)
+        left, right = entry.left, entry.right
         matches = []
         for g in self.paths_of_degree(m):
             if g.vertex != p.vertex:
                 continue
             sg = self.source(g)
+            ig = left.position(g.element)
             for h in self.paths_of_degree(n):
                 if h.vertex != sg:
                     continue
-                if self.compose(g, h) == p:
+                if self._product(entry, ig, right.position(h.element)) == want:
                     matches.append((g, h))
         if len(matches) != 1:
             raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class NonFiniteTypeError(ValueError):
@@ -226,8 +226,10 @@ class RootDatum:
 
 # -- construction ---------------------------------------------------------
 
+@cache
 def type_a_cartan(r: int) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix of A_r."""
+    """The Cartan matrix of A_r; built once per rank, so the rows of a
+    built-in datum compare to it by identity."""
     return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
         for i in range(r)

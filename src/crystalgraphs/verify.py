@@ -11,6 +11,7 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from itertools import product as iterproduct
 
 from . import fixtures
@@ -319,24 +320,42 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 rep.check(False, "factorization %s+%s of %s: %s", m, n, p, exc)
 
     # composition in one pass: additivity and endpoints of every composable
-    # pair, associativity of every composable triple from the stored products
+    # pair, associativity of every composable triple as equal positions in
+    # B(deg p + deg q + deg r), read from the product tables
+    product, table = kg._product, kg._product_table
+    indexed = [(p, ctx.weight_crystal(p.degree).position(p.element))
+               for p in paths]
     by_range: dict = {}
     by_source: dict = {}
-    for p in paths:
-        by_range.setdefault(kg.range(p), []).append(p)
-        by_source.setdefault(kg.source(p), []).append(p)
-    for q in paths:
-        rs = by_range.get(kg.source(q), ())
-        qrs = [kg.compose(q, r) for r in rs]
-        for p in by_source.get(kg.range(q), ()):
+    for p, ip in indexed:
+        by_range.setdefault(kg.range(p), []).append((p, ip))
+        by_source.setdefault(kg.source(p), []).append((p, ip))
+    for q, iq in indexed:
+        sq = kg.source(q)
+        rs = by_range.get(sq, ())
+        # the r after q, in runs of one degree (paths come degree by degree):
+        # a run shares the tables of (pq) r and of p (qr)
+        runs = []
+        for r_degree, run in groupby(rs, key=lambda r_ir: r_ir[0].degree):
+            qr = table(q.degree, r_degree)
+            runs.append((r_degree, qr.degree,
+                         [(r, ir, product(qr, iq, ir)) for r, ir in run]))
+        for p, ip in by_source.get(kg.range(q), ()):
             pq = kg.compose(p, q)
             rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
                       "degree of %s * %s is not additive", p, q)
-            rep.check(pq.vertex == p.vertex and kg.source(pq) == kg.source(q),
+            spq = kg.source(pq)
+            rep.check(pq.vertex == p.vertex and spq == sq,
                       "endpoints of %s * %s are wrong", p, q)
-            for r, qr in zip(rs, qrs):
-                rep.check(kg.compose(pq, r) == kg.compose(p, qr),
-                          "associativity fails on %s, %s, %s", p, q, r)
+            if rs and spq != sq:
+                raise ValueError("paths are not composable: source(p) != range(q)")
+            ipq = product(table(p.degree, q.degree), ip, iq)
+            for r_degree, qr_degree, run in runs:
+                left = table(pq.degree, r_degree)
+                right = table(p.degree, qr_degree)
+                for r, ir, iqr in run:
+                    rep.check(product(left, ipq, ir) == product(right, ip, iqr),
+                              "associativity fails on %s, %s, %s", p, q, r)
     return rep
 
 

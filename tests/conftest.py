@@ -4,6 +4,7 @@ import pytest
 
 from crystalgraphs import (Convention, CrystalContext, KGraph, Weight, WeylGroup,
                            builtin_datum)
+from crystalgraphs.rightends import apply_plan, braid_plan, sorting_word
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +109,19 @@ def ref_apply(factors, conv, elem, i, lower):
         return None if res is None else res + (last_b,)
     b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
     return None if b2 is None else elem[:-1] + (b2,)
+
+
+# -- the product reference: the tuple route that product tables replace -------
+
+def ref_product(ctx, deg1, deg2, b1, b2):
+    """The product of b1 in B(deg1) and b2 in B(deg2) in B(deg1 + deg2): the
+    braid plan that sorts the two factor lists, applied to b1 + b2, then
+    membership in the target; None when the product left the Cartan
+    component."""
+    funds = ctx.fundamental_indices(deg1) + ctx.fundamental_indices(deg2)
+    elem = apply_plan(braid_plan(ctx, funds, sorting_word(funds)), b1 + b2)
+    target = ctx.weight_crystal([a + b for a, b in zip(deg1, deg2)])
+    return elem if elem is not None and elem in target else None
 
 
 # -- root-data references: coroots by the norm through the symmetrizer, ------

@@ -65,6 +65,10 @@ PINNED_OUTPUTS = [
                   "--degree-bound", "1,1"),
                  "4c924c52c06aedfbf0582e0c2875a6f0bf25a6c733cae06d5b613599892d5985",
                  id="kgraph-axioms-A2-1,1"),
+    pytest.param(("verify", "--suite", "kgraph-axioms", "--algebra", "A2",
+                  "--degree-bound", "2,2"),
+                 "8ce512e726a3c3978677c49dac0cdcae2a48ad764fd0816e416f700c128df69b",
+                 id="kgraph-axioms-A2-2,2"),
     pytest.param(("skeleton", "--algebra", "C2", "--convention", "opposite",
                   "--output", "json"),
                  "5b9d6428639a5d023a10e7857f0755ab926e0449d32c101471c1593c366386e1",
@@ -103,6 +107,16 @@ def test_a5_right_ends_pinned_on_both_routes(capsys):
     assert slides == chains
     assert hashlib.sha256(chains.encode()).hexdigest() == (
         "ae19c31d05779933179b2f5e51aff30c28be1b18a1744bb0cf5abe9c3c51c4c3")
+
+
+@pytest.mark.slow
+def test_a3_axioms_frontier_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "kgraph-axioms", "--algebra", "A3",
+                       "--degree-bound", "2,1,1")
+    assert code == 0
+    assert json.loads(out)["instances_checked"] == 6235911
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b720985322597bfd81ed79b0b812f9fe0c9fc08d9f5f7574b514156f5c2b8128")
 
 
 def test_braiding_table(capsys):

@@ -359,6 +359,24 @@ def test_weight_crystal_refuses_oversized_crystals(monkeypatch):
         ctx.rho_crystal()
 
 
+# (algebra, factors, size named in the refusal): a product over the limit, and
+# a fundamental over it by itself (A30 15,15 has C(31, 15) columns)
+BRAIDINGS_REFUSED = [("A10", (5, 5), "213,444"), ("A1000", (1, 1), "1,002,001"),
+                     ("A30", (15, 15), "300,540,195")]
+
+
+@pytest.mark.parametrize("algebra, factors, size", BRAIDINGS_REFUSED)
+def test_braiding_refusal_builds_no_fundamental(monkeypatch, algebra, factors, size):
+    import crystalgraphs.crystal
+    built = []
+    monkeypatch.setattr(crystalgraphs.crystal, "build_fundamental",
+                        lambda datum, i: built.append(i))
+    ctx = CrystalContext(builtin_datum(algebra))
+    with pytest.raises(ValueError, match=f"has {size} elements, over the limit"):
+        ctx.braiding(*factors)
+    assert built == []
+
+
 def test_canonical_isomorphism(a2):
     B = a2.rho_crystal()
     iso = canonical_isomorphism(B, B)

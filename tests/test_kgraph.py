@@ -3,7 +3,7 @@ import pytest
 from crystalgraphs import (Convention, CrystalContext, KGraph, KPath,
                            builtin_datum, canonical_isomorphism)
 
-from conftest import A1_, A2_, A3_, B1_, B3_, longest
+from conftest import A1_, A2_, A3_, B1_, B3_, longest, ref_product
 
 
 def wv(kg, *word):
@@ -77,6 +77,8 @@ def test_compose_identity_and_degree(a2_kg):
     with pytest.raises(ValueError):
         bad = a2_kg.path(wv(a2_kg, 2), (), (0, 0))
         a2_kg.compose(p, bad)
+    with pytest.raises(ValueError, match="not an element"):
+        a2_kg.compose(p, KPath(a2_kg.source(p), (A1_, A1_), omega1))
 
 
 def test_path_counts_frozen(a2_kg, c2_opp_kg):
@@ -205,6 +207,51 @@ def test_compose_matches_component_route(name, conv):
                 else:
                     assert kg.compose(p, q) == want
     assert (pairs, off) == counts
+
+
+# every slot of every degree pair up to these bounds, under both conventions
+PRODUCT_BOUNDS = {"A2": (1, 1), "C2": (1, 1), "A3": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in PRODUCT_BOUNDS
+                                       for conv in Convention])
+def test_product_tables_match_tuple_route(monkeypatch, name, conv):
+    import crystalgraphs.kgraph
+    from crystalgraphs.kgraph import UNSET
+    plans_run = [0]
+    apply_plan = crystalgraphs.kgraph.apply_plan
+
+    def counted(plan, elem):
+        plans_run[0] += 1
+        return apply_plan(plan, elem)
+
+    monkeypatch.setattr(crystalgraphs.kgraph, "apply_plan", counted)
+    ctx = CrystalContext(builtin_datum(name), conv)
+    kg = KGraph(ctx)
+    degrees = kg.degrees_up_to(PRODUCT_BOUNDS[name])
+    slots = off = 0
+    for d1 in degrees:
+        for d2 in degrees:
+            entry = kg._product_table(d1, d2)
+            assert kg._product_table(d1, d2) is entry
+            assert entry.target is ctx.weight_crystal(entry.degree)
+            assert entry.slots.typecode == "h"
+            assert len(entry.slots) == len(entry.left) * len(entry.right)
+            for i1, b1 in enumerate(entry.left.elements):
+                for i2, b2 in enumerate(entry.right.elements):
+                    want = ref_product(ctx, d1, d2, b1, b2)
+                    slots += 1
+                    off += want is None
+                    for _ in range(2):   # the first call fills, the repeat reads
+                        if want is None:
+                            with pytest.raises(RuntimeError):
+                                kg._product(entry, i1, i2)
+                        else:
+                            t = kg._product(entry, i1, i2)
+                            assert entry.target.elements[t] == want
+            assert UNSET not in entry.slots
+    assert plans_run[0] == slots
+    assert 0 < off < slots
 
 
 def test_axioms_build_only_sorted_components(monkeypatch):
