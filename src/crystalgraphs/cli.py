@@ -55,9 +55,8 @@ def cmd_skeleton(args) -> int:
         _emit(args, skel.to_dot(vertex_str, color_str,
                                 show_loops=args.show_loops, key_str=element_str))
     else:
-        data = skel.to_json(vertex_str, color_str,
-                            show_loops=args.show_loops, key_str=element_str)
-        _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _emit(args, skel.to_json(vertex_str, color_str,
+                                 show_loops=args.show_loops, key_str=element_str))
     return 0
 
 

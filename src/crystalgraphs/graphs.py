@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Hashable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: Any
     dst: Any
     color: Any
     key: Any = None
+
+
+# one edge of `ColoredDigraph.to_json`: its keys sorted, at indent 2
+_JSON_EDGE = ('{\n      "color": %s,\n      "dst": %s,\n'
+              '      "element": %s,\n      "src": %s\n    }')
+_JSON_KEYLESS_EDGE = '{\n      "color": %s,\n      "dst": %s,\n      "src": %s\n    }'
+
+
+def _json_array(items: list[str]) -> list[str]:
+    """The pieces of a JSON array of encoded items, laid out at indent 2."""
+    if not items:
+        return ["[]"]
+    pieces = ["[\n    "]
+    for item in items:
+        pieces += (item, ",\n    ")
+    pieces[-1] = "\n  ]"
+    return pieces
 
 
 class ColoredDigraph:
@@ -28,14 +44,15 @@ class ColoredDigraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        seen = set()
         for e in self.edges:
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e} has an unknown endpoint")
-            quad = (e.src, e.dst, e.color, e.key)
-            if quad in seen:
-                raise ValueError(f"duplicate edge {quad}")
-            seen.add(quad)
+        if len(set(self.edges)) != len(self.edges):
+            seen = set()
+            for quad in self.edges:
+                if quad in seen:
+                    raise ValueError(f"duplicate edge {tuple(quad)}")
+                seen.add(quad)
 
     def __repr__(self):
         return f"ColoredDigraph({self.name}: {len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -49,34 +66,46 @@ class ColoredDigraph:
 
     # -- export ------------------------------------------------------------
 
+    def _records(self, vertex_str, color_str, show_loops, key_str):
+        """The sorted vertex names and the sorted (src, dst, color, element)
+        name tuples of the shown edges; element is None for a keyless edge.
+
+        Each distinct vertex, color and key is rendered once.
+        """
+        vnames = {v: vertex_str(v) for v in self.vertices}
+        edges = [e for e in self.edges if show_loops or e.src != e.dst]
+        cnames = {c: color_str(c) for c in {e.color for e in edges}}
+        knames = {k: None if k is None else key_str(k) for k in {e.key for e in edges}}
+        records = [(vnames[s], vnames[d], cnames[c], knames[k]) for s, d, c, k in edges]
+        # a keyless edge sorts as if its element were ""
+        records.sort(key=lambda r: r if r[3] is not None else r[:3] + ("",))
+        return sorted(vnames.values()), records
+
     def to_json(self, vertex_str: Callable[[Hashable], str] = str,
                 color_str: Callable[[Any], str] = str,
                 show_loops: bool = True,
-                key_str: Callable[[Any], str] = str) -> dict:
-        vnames = {v: vertex_str(v) for v in self.vertices}
-        edges = []
-        for e in self.edges:
-            if not show_loops and e.src == e.dst:
-                continue
-            rec = {"src": vnames[e.src], "dst": vnames[e.dst], "color": color_str(e.color)}
-            if e.key is not None:
-                rec["element"] = key_str(e.key)
-            edges.append(rec)
-        edges.sort(key=lambda r: (r["src"], r["dst"], r["color"], r.get("element", "")))
-        return {"vertices": sorted(vnames.values()), "edges": edges}
+                key_str: Callable[[Any], str] = str) -> str:
+        """The graph as indented JSON text with sorted keys, newline ended:
+        {"edges": [{"color", "dst", "element" (keyed edges only), "src"}],
+        "vertices": [...]}, both lists sorted by name."""
+        vertices, records = self._records(vertex_str, color_str, show_loops, key_str)
+        edges = [_JSON_KEYLESS_EDGE % (_quote(c), _quote(d), _quote(s)) if k is None
+                 else _JSON_EDGE % (_quote(c), _quote(d), _quote(k), _quote(s))
+                 for s, d, c, k in records]
+        # one join over every piece, so the text is copied once
+        return "".join(['{\n  "edges": ', *_json_array(edges), ',\n  "vertices": ',
+                        *_json_array([_quote(v) for v in vertices]), "\n}\n"])
 
     def to_dot(self, vertex_str: Callable[[Hashable], str] = str,
                color_str: Callable[[Any], str] = str,
                show_loops: bool = True,
                key_str: Callable[[Any], str] = str) -> str:
-        data = self.to_json(vertex_str, color_str, show_loops, key_str)
+        vertices, records = self._records(vertex_str, color_str, show_loops, key_str)
         lines = [f"digraph {self.name} {{"]
-        for v in data["vertices"]:
+        for v in vertices:
             lines.append(f'  "{v}";')
-        for e in data["edges"]:
-            attrs = [f'color="{e["color"]}"']
-            if "element" in e:
-                attrs.append(f'element="{e["element"]}"')
-            lines.append(f'  "{e["src"]}" -> "{e["dst"]}" [{", ".join(attrs)}];')
+        for s, d, c, k in records:
+            attrs = f'color="{c}"' if k is None else f'color="{c}", element="{k}"'
+            lines.append(f'  "{s}" -> "{d}" [{attrs}];')
         lines.append("}")
         return "\n".join(lines) + "\n"

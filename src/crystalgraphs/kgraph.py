@@ -154,16 +154,21 @@ class KGraph:
         return p.vertex
 
     def source(self, p: KPath) -> tuple:
-        """Componentwise right ends of v_i (x) b; memoized."""
+        """Componentwise right ends of v_i (x) b; memoized, and recorded for
+        every path that `paths_of_degree` finds."""
         if p not in self._sources:
             row = self._row(self.ctx.weight(p.degree), p.element)
             if row is None or not all(x in ends for x, ends in zip(p.vertex, row)):
                 raise ValueError(f"{p} is not a valid path")
-            v = tuple(ends[x] for x, ends in zip(p.vertex, row))
-            if v not in self._fibers:
-                raise RuntimeError(f"source {v!r} of {p} is not a vertex")
-            self._sources[p] = v
+            self._record_source(p, row)
         return self._sources[p]
+
+    def _record_source(self, p: KPath, row: tuple[dict, ...]) -> None:
+        """Store the source of the path p, read off its element's end row."""
+        v = tuple(ends[x] for x, ends in zip(p.vertex, row))
+        if v not in self._fibers:
+            raise RuntimeError(f"source {v!r} of {p} is not a vertex")
+        self._sources[p] = v
 
     # -- composition ----------------------------------------------------------
 
@@ -223,6 +228,8 @@ class KGraph:
     # -- enumeration ------------------------------------------------------------
 
     def paths_of_degree(self, degree) -> tuple[KPath, ...]:
+        """All paths of the degree, vertex by vertex; each path's source is
+        recorded from the end row that accepted it."""
         lam = self.ctx.weight(degree)
         if lam.coords not in self._paths:
             crystal = self.ctx.weight_crystal(lam)
@@ -230,7 +237,9 @@ class KGraph:
             for v in self._vertices:
                 for b in crystal.elements:
                     if self.is_path(v, b, lam):
-                        found.append(KPath(v, b, lam.coords))
+                        p = KPath(v, b, lam.coords)
+                        self._record_source(p, self._rows[(lam.coords, b)])
+                        found.append(p)
             self._paths[lam.coords] = tuple(found)
         return self._paths[lam.coords]
 
@@ -257,7 +266,7 @@ class KGraph:
             edges = []
             for i in self.datum.indices:
                 for p in self.paths_of_degree(self.datum.fundamental_weight(i)):
-                    edges.append(Edge(self.source(p), p.vertex, i, key=p.element))
+                    edges.append(Edge(self._sources[p], p.vertex, i, p.element))
             self._skeleton = ColoredDigraph(self._vertices, edges, name="skeleton")
         return self._skeleton
 

@@ -340,22 +340,27 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
             qr = table(q.degree, r_degree)
             runs.append((r_degree, qr.degree,
                          [(r, ir, product(qr, iq, ir)) for r, ir in run]))
-        for p, ip in by_source.get(kg.range(q), ()):
-            pq = kg.compose(p, q)
-            rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
-                      "degree of %s * %s is not additive", p, q)
-            spq = kg.source(pq)
-            rep.check(pq.vertex == p.vertex and spq == sq,
-                      "endpoints of %s * %s are wrong", p, q)
-            if rs and spq != sq:
-                raise ValueError("paths are not composable: source(p) != range(q)")
-            ipq = product(table(p.degree, q.degree), ip, iq)
-            for r_degree, qr_degree, run in runs:
-                left = table(pq.degree, r_degree)
-                right = table(p.degree, qr_degree)
-                for r, ir, iqr in run:
-                    rep.check(product(left, ipq, ir) == product(right, ip, iqr),
-                              "associativity fails on %s, %s, %s", p, q, r)
+        # the p before q, in runs of one degree: a run shares the table of
+        # p q and, per run of r, the tables of (pq) r and of p (qr)
+        ps = by_source.get(kg.range(q), ())
+        for p_degree, run_p in groupby(ps, key=lambda p_ip: p_ip[0].degree):
+            pq_table = table(p_degree, q.degree)
+            triples = [(table(pq_table.degree, r_degree), table(p_degree, qr_degree), run)
+                       for r_degree, qr_degree, run in runs]
+            for p, ip in run_p:
+                pq = kg.compose(p, q)
+                rep.check(pq.degree == tuple(a + b for a, b in zip(p.degree, q.degree)),
+                          "degree of %s * %s is not additive", p, q)
+                spq = kg.source(pq)
+                rep.check(pq.vertex == p.vertex and spq == sq,
+                          "endpoints of %s * %s are wrong", p, q)
+                if rs and spq != sq:
+                    raise ValueError("paths are not composable: source(p) != range(q)")
+                ipq = product(pq_table, ip, iq)
+                for left, right, run in triples:
+                    for r, ir, iqr in run:
+                        rep.check(product(left, ipq, ir) == product(right, ip, iqr),
+                                  "associativity fails on %s, %s, %s", p, q, r)
     return rep
 
 

@@ -124,6 +124,25 @@ def ref_product(ctx, deg1, deg2, b1, b2):
     return elem if elem is not None and elem in target else None
 
 
+# -- the graph-export reference: the JSON tree that `to_json` writes as text -
+
+def ref_graph_json(graph, vertex_str=str, color_str=str, show_loops=True,
+                   key_str=str) -> dict:
+    """{"vertices": sorted names, "edges": sorted records}; a record has
+    "src", "dst", "color", and "element" when its edge has a key."""
+    vnames = {v: vertex_str(v) for v in graph.vertices}
+    edges = []
+    for e in graph.edges:
+        if not show_loops and e.src == e.dst:
+            continue
+        rec = {"src": vnames[e.src], "dst": vnames[e.dst], "color": color_str(e.color)}
+        if e.key is not None:
+            rec["element"] = key_str(e.key)
+        edges.append(rec)
+    edges.sort(key=lambda r: (r["src"], r["dst"], r["color"], r.get("element", "")))
+    return {"vertices": sorted(vnames.values()), "edges": edges}
+
+
 # -- root-data references: coroots by the norm through the symmetrizer, ------
 # -- roots by the closure under every simple reflection ----------------------
 

@@ -76,6 +76,15 @@ PINNED_OUTPUTS = [
     pytest.param(("skeleton", "--algebra", "A3", "--output", "json"),
                  "63966147f4604521d55813149beed76888dd245797e3ce396312876f565072c8",
                  id="skeleton-A3"),
+    pytest.param(("skeleton", "--algebra", "A3", "--output", "dot"),
+                 "80b2c75eec9f804755438bc880e1360ae3621e747a36900fc17c4891dc05a6f8",
+                 id="skeleton-A3-dot"),
+    pytest.param(("skeleton", "--algebra", "A3", "--output", "json", "--show-loops"),
+                 "53a2edde517d83876d54b6b7ef188b82479179d0bb3f52442d3448017b96ab21",
+                 id="skeleton-A3-loops"),
+    pytest.param(("skeleton", "--algebra", "C2", "--output", "dot", "--show-loops"),
+                 "87030a299506b3b0ca822981c5cf1c4253ec24cb73d5ba92afb25ff02c353b43",
+                 id="skeleton-C2-dot-loops"),
     pytest.param(("verify", "--suite", "embeddings", "--algebra", "A4"),
                  "e0fe86784ce4d61cfd942069a3907c1647daaab0c295a1242313991db28ab2e7",
                  id="verify-embeddings-A4"),

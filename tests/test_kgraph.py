@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from crystalgraphs import (Convention, CrystalContext, KGraph, KPath,
@@ -162,6 +164,27 @@ def test_path_tests_match_representative_route(name, conv):
     assert paths > 0
 
 
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in PATH_ORACLE_BOUNDS
+                                       for conv in Convention])
+def test_enumeration_records_every_source(name, conv):
+    """The sources `paths_of_degree` stores are those a fresh k-graph, which
+    never enumerated, computes per path, and those of a representative."""
+    from crystalgraphs.rightends import chain_ends
+    ctx = CrystalContext(builtin_datum(name), conv)
+    kg, fresh = KGraph(ctx), KGraph(ctx)
+    paths = kg.enumerate_paths(PATH_ORACLE_BOUNDS[name])
+    assert set(kg._sources) == set(paths)
+    rho_funds = tuple(ctx.datum.indices)
+    for p in paths:
+        ends = chain_ends(ctx, rho_funds + ctx.fundamental_indices(p.degree),
+                          kg.fiber(p.vertex)[0] + p.element)
+        assert kg._sources[p] == fresh.source(p) == ends[:len(rho_funds)], p
+    assert not fresh._paths
+    assert set(kg.skeleton().edges) == {
+        (fresh.source(p), p.vertex, i, p.element) for i in ctx.datum.indices
+        for p in kg.paths_of_degree(ctx.datum.fundamental_weight(i))}
+
+
 def test_order_compatibility(a2_kg):
     for p in a2_kg.enumerate_paths((1, 1)):
         assert a2_kg.vertex_leq(a2_kg.range(p), a2_kg.source(p))
@@ -305,7 +328,7 @@ def test_a5_left_keys_are_right_ends():
 
 def test_skeleton_json_and_dot(a2_kg):
     skel = a2_kg.skeleton()
-    data = skel.to_json(show_loops=False)
+    data = json.loads(skel.to_json(show_loops=False))
     assert len(data["edges"]) == 12
     assert all(set(e) == {"src", "dst", "color", "element"} for e in data["edges"])
     dot = skel.to_dot(show_loops=True)

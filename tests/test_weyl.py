@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -222,7 +223,7 @@ def test_generation_cap(monkeypatch):
 
 def test_graph_export_shapes():
     graph = A2.weak_graph("right")
-    data = graph.to_json(vertex_str=repr)
+    data = json.loads(graph.to_json(vertex_str=repr))
     assert set(data) == {"vertices", "edges"}
     assert all(set(e) == {"src", "dst", "color"} for e in data["edges"])
     dot = graph.to_dot(vertex_str=repr)
