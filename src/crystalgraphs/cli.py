@@ -9,6 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+from typing import Iterator, TextIO
 
 from .crystal import CrystalContext
 from .kgraph import KGraph
@@ -38,12 +43,14 @@ def _context(args) -> CrystalContext:
     return CrystalContext(resolve_datum(args.algebra), args.convention)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+@contextmanager
+def _emit(args) -> Iterator[TextIO]:
+    """The one sink of a command's output: the -o file, or stdout."""
+    if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def cmd_skeleton(args) -> int:
@@ -51,12 +58,10 @@ def cmd_skeleton(args) -> int:
     kg = KGraph(ctx)
     skel = kg.skeleton()
     color_str = {i: f"w{i}" for i in ctx.datum.indices}.__getitem__
-    if args.output == "dot":
-        _emit(args, skel.to_dot(vertex_str, color_str,
-                                show_loops=args.show_loops, key_str=element_str))
-    else:
-        _emit(args, skel.to_json(vertex_str, color_str,
-                                 show_loops=args.show_loops, key_str=element_str))
+    export = skel.to_dot if args.output == "dot" else skel.to_json
+    with _emit(args) as out:
+        export(out, vertex_str, color_str, show_loops=args.show_loops,
+               key_str=element_str)
     return 0
 
 
@@ -74,7 +79,8 @@ def cmd_verify(args) -> int:
             raise ValueError("--degree-bound takes comma-separated integers, "
                              f"not {args.degree_bound!r}") from None
     report = run_suite(args.suite, **config)
-    _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    with _emit(args) as out:
+        out.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else 1
 
 
@@ -98,14 +104,22 @@ def cmd_braiding(args) -> int:
             "out": None if out is None else [element_str(out[0]), element_str(out[1])],
         })
     if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2) + "\n")
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         lines = []
         for row in rows:
             rhs = "0" if row["out"] is None else " (x) ".join(row["out"])
             lines.append(f"{' (x) '.join(row['in'])}  ->  {rhs}")
-        _emit(args, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    with _emit(args) as out:
+        out.write(text)
     return 0
+
+
+# one row of `rightends --format json` as `json.dumps(rows, indent=2)` lays
+# out {"element": [...], "ends": [...]}; neither list is ever empty
+_JSON_ROW = '  {\n    "element": [\n      %s\n    ],\n    "ends": [\n      %s\n    ]\n  }'
+_JSON_ROW_SEP = ",\n      "
 
 
 def cmd_rightends(args) -> int:
@@ -113,21 +127,26 @@ def cmd_rightends(args) -> int:
     if args.via == "slides" and ctx.datum.cartan != type_a_cartan(ctx.datum.rank):
         raise ValueError("the slides route is only defined for type A algebras")
     rho = ctx.rho_crystal()
+    name = cache(element_str)  # the factors repeat: each name is made once
     rows = []
     for b in rho.elements:
         if args.via == "slides":
             ends = tuple(reversed(right_ends_via_slides(from_crystal(b))))
         else:
             ends = right_end_tuple(ctx, b)
-        rows.append({"element": [element_str(x) for x in b],
-                     "ends": [element_str(x) for x in ends]})
-    rows.sort(key=lambda r: r["element"])
-    if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2) + "\n")
-    else:
-        lines = [f"{' (x) '.join(r['element'])}  ->  ({', '.join(r['ends'])})"
-                 for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        rows.append((tuple(map(name, b)), tuple(map(name, ends))))
+    rows.sort(key=itemgetter(0))
+    with _emit(args) as out:
+        if args.format == "json":
+            sep = "[\n"
+            for element, ends in rows:
+                out.write(sep + _JSON_ROW % (_JSON_ROW_SEP.join(map(_quote, element)),
+                                             _JSON_ROW_SEP.join(map(_quote, ends))))
+                sep = ",\n"
+            out.write("\n]\n")
+        else:
+            for element, ends in rows:
+                out.write(f"{' (x) '.join(element)}  ->  ({', '.join(ends)})\n")
     return 0
 
 
@@ -137,16 +156,17 @@ def cmd_keys(args) -> int:
     tab = Tableau(rows)
     kl, kr = left_key(tab), right_key(tab)
     if args.format == "json":
-        _emit(args, json.dumps({
+        text = json.dumps({
             "tableau": [list(r) for r in tab.rows],
             "left_key": [list(r) for r in kl.rows],
             "right_key": [list(r) for r in kr.rows],
-        }, indent=2) + "\n")
+        }, indent=2) + "\n"
     else:
         def fmt(t):
             return " / ".join(" ".join(str(x) for x in row) for row in t.rows)
-        _emit(args, f"T        = {fmt(tab)}\n"
-                    f"left key  = {fmt(kl)}\nright key = {fmt(kr)}\n")
+        text = f"T        = {fmt(tab)}\nleft key  = {fmt(kl)}\nright key = {fmt(kr)}\n"
+    with _emit(args) as out:
+        out.write(text)
     return 0
 
 

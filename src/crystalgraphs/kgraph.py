@@ -59,9 +59,13 @@ class KGraph:
             fibers.setdefault(v, []).append(c)
         self._vertices = tuple(sorted(fibers, key=str))
         self._fibers = {v: tuple(cs) for v, cs in fibers.items()}
+        # each vertex to itself, so that a tuple equal to a vertex can be
+        # swapped for the one object every path and edge shares
+        self._vertex = {v: v for v in self._vertices}
         self._rows: dict[tuple, tuple[dict, ...]] = {}
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
+        self._ranges: dict[tuple, dict[tuple, list]] = {}
         self._products: dict[tuple, ProductTable] = {}
         self._skeleton: ColoredDigraph | None = None
 
@@ -82,9 +86,10 @@ class KGraph:
         """The vertex of a Weyl group element: its tuple of extremal factors."""
         v = tuple(extremal_element(self.ctx.fundamental(i), w)
                   for i in self.datum.indices)
-        if v not in self._fibers:
+        vertex = self._vertex.get(v)
+        if vertex is None:
             raise RuntimeError(f"extremal tuple {v!r} is not a vertex")
-        return v
+        return vertex
 
     @cached_property
     def weyl_vertices(self) -> dict[WeylElement, tuple]:
@@ -139,7 +144,7 @@ class KGraph:
 
     def is_path(self, v: tuple, element: tuple, degree) -> bool:
         lam = self.ctx.weight(degree)
-        if v not in self._fibers:
+        if v not in self._vertex:
             return False
         row = self._row(lam, tuple(element))
         return row is not None and all(x in ends for x, ends in zip(v, row))
@@ -164,11 +169,13 @@ class KGraph:
         return self._sources[p]
 
     def _record_source(self, p: KPath, row: tuple[dict, ...]) -> None:
-        """Store the source of the path p, read off its element's end row."""
+        """Store the source of the path p, read off its element's end row, as
+        the vertex object the k-graph holds."""
         v = tuple(ends[x] for x, ends in zip(p.vertex, row))
-        if v not in self._fibers:
+        vertex = self._vertex.get(v)
+        if vertex is None:
             raise RuntimeError(f"source {v!r} of {p} is not a vertex")
-        self._sources[p] = v
+        self._sources[p] = vertex
 
     # -- composition ----------------------------------------------------------
 
@@ -243,6 +250,20 @@ class KGraph:
             self._paths[lam.coords] = tuple(found)
         return self._paths[lam.coords]
 
+    def _paths_by_range(self, degree) -> dict[tuple, list]:
+        """The paths of the degree grouped by range vertex, in enumeration
+        order, each as (path, position of its element in B(degree), source);
+        built once per degree."""
+        lam = self.ctx.weight(degree)
+        index = self._ranges.get(lam.coords)
+        if index is None:
+            position = self.ctx.weight_crystal(lam).position
+            index = self._ranges[lam.coords] = {}
+            for p in self.paths_of_degree(lam):
+                index.setdefault(p.vertex, []).append(
+                    (p, position(p.element), self._sources[p]))
+        return index
+
     def degrees_up_to(self, bound) -> tuple[tuple[int, ...], ...]:
         bound = tuple(bound)
         ranges = [range(b + 1) for b in bound]
@@ -283,17 +304,11 @@ class KGraph:
             raise ValueError(f"split {m} + {n} does not add up to {p.degree}")
         entry = self._product_table(m, n)
         want = entry.target.position(p.element)
-        left, right = entry.left, entry.right
+        hs = self._paths_by_range(n)
         matches = []
-        for g in self.paths_of_degree(m):
-            if g.vertex != p.vertex:
-                continue
-            sg = self.source(g)
-            ig = left.position(g.element)
-            for h in self.paths_of_degree(n):
-                if h.vertex != sg:
-                    continue
-                if self._product(entry, ig, right.position(h.element)) == want:
+        for g, ig, sg in self._paths_by_range(m).get(p.vertex, ()):
+            for h, ih, _ in hs.get(sg, ()):
+                if self._product(entry, ig, ih) == want:
                     matches.append((g, h))
         if len(matches) != 1:
             raise ValueError(

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,14 @@ def ref_product(ctx, deg1, deg2, b1, b2):
 
 
 # -- the graph-export reference: the JSON tree that `to_json` writes as text -
+
+def written(export, **kwargs) -> str:
+    """The text that an exporter such as `ColoredDigraph.to_json` writes to
+    a stream; the exporter itself returns nothing."""
+    out = io.StringIO()
+    assert export(out, **kwargs) is None
+    return out.getvalue()
+
 
 def ref_graph_json(graph, vertex_str=str, color_str=str, show_loops=True,
                    key_str=str) -> dict:

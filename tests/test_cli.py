@@ -44,6 +44,21 @@ def test_skeleton_to_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ("skeleton", "--algebra", "A3", "--output", "json"),
+    ("skeleton", "--algebra", "A3", "--output", "dot"),
+    ("rightends", "--algebra", "A3", "--format", "json"),
+    ("rightends", "--algebra", "A3", "--format", "text"),
+], ids=["skeleton-json", "skeleton-dot", "rightends-json", "rightends-text"])
+def test_file_and_stdout_get_the_same_bytes(tmp_path, capsys, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "-o", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode()
+
+
 # SHA-256 of whole outputs: a change to the tensor rule or to the braid
 # chains must keep these outputs byte-identical
 PINNED_OUTPUTS = [
@@ -116,6 +131,22 @@ def test_a5_right_ends_pinned_on_both_routes(capsys):
     assert slides == chains
     assert hashlib.sha256(chains.encode()).hexdigest() == (
         "ae19c31d05779933179b2f5e51aff30c28be1b18a1744bb0cf5abe9c3c51c4c3")
+
+
+@pytest.mark.slow
+def test_a5_skeleton_dot_pinned(capsys):
+    code, out, _ = run(capsys, "skeleton", "--algebra", "A5", "--output", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "00ab30aa07ca5d414fd15316f05d63e026dfc876b6f278a99bdb7be84d8508aa")
+
+
+@pytest.mark.slow
+def test_a5_right_ends_text_pinned(capsys):
+    code, out, _ = run(capsys, "rightends", "--algebra", "A5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "23bca975f562b878094a1b6fe6ce48269e29e98d9f0733281d502454b4492dd0")
 
 
 @pytest.mark.slow
@@ -283,6 +314,47 @@ def test_rightends_routes_agree(capsys):
                               "--format", "json", "--via", "slides")
     assert code == 0
     assert via_braiding == via_slides
+
+
+def ref_rightends(algebra, convention, via, fmt) -> str:
+    """The `rightends` output as one text: the row dicts sorted by element,
+    through `json.dumps(indent=2)` or one line per row."""
+    from crystalgraphs import (CrystalContext, builtin_datum, from_crystal,
+                               right_end_tuple, right_ends_via_slides)
+    from crystalgraphs.cli import element_str
+    ctx = CrystalContext(builtin_datum(algebra), convention)
+    rows = []
+    for b in ctx.rho_crystal().elements:
+        if via == "slides":
+            ends = tuple(reversed(right_ends_via_slides(from_crystal(b))))
+        else:
+            ends = right_end_tuple(ctx, b)
+        rows.append({"element": [element_str(x) for x in b],
+                     "ends": [element_str(x) for x in ends]})
+    rows.sort(key=lambda r: r["element"])
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    return "\n".join(f"{' (x) '.join(r['element'])}  ->  ({', '.join(r['ends'])})"
+                     for r in rows) + "\n"
+
+
+# the slides route reads an element as a tableau, which only the hong-kang
+# convention's elements are
+RIGHTENDS_CASES = [(algebra, via, convention)
+                   for algebra, vias in (("A2", ("braiding", "slides")),
+                                         ("C2", ("braiding",)),
+                                         ("A3", ("braiding", "slides")))
+                   for via in vias for convention in ("hong-kang", "opposite")
+                   if (via, convention) != ("slides", "opposite")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("algebra, via, convention", RIGHTENDS_CASES)
+def test_rightends_rows_match_reference(capsys, algebra, via, convention, fmt):
+    code, out, _ = run(capsys, "rightends", "--algebra", algebra, "--via", via,
+                       "--convention", convention, "--format", fmt)
+    assert code == 0
+    assert out == ref_rightends(algebra, convention, via, fmt)
 
 
 def test_rightends_c2_display(capsys):

@@ -5,7 +5,7 @@ import pytest
 from crystalgraphs import (Convention, CrystalContext, KGraph, KPath,
                            builtin_datum, canonical_isomorphism)
 
-from conftest import A1_, A2_, A3_, B1_, B3_, longest, ref_product
+from conftest import A1_, A2_, A3_, B1_, B3_, longest, ref_product, written
 
 
 def wv(kg, *word):
@@ -185,6 +185,84 @@ def test_enumeration_records_every_source(name, conv):
         for p in kg.paths_of_degree(ctx.datum.fundamental_weight(i))}
 
 
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in PATH_ORACLE_BOUNDS
+                                       for conv in Convention])
+def test_paths_and_edges_share_the_vertex_objects(name, conv):
+    # a source equal to a vertex is that vertex, not a copy of it
+    kg = KGraph(CrystalContext(builtin_datum(name), conv))
+    vertex_ids = {id(v) for v in kg.vertices()}
+    paths = kg.enumerate_paths(PATH_ORACLE_BOUNDS[name])
+    assert all(id(kg.source(p)) in vertex_ids for p in paths)
+    assert all(id(p.vertex) in vertex_ids for p in paths)
+    edges = kg.skeleton().edges
+    assert all(id(e.src) in vertex_ids and id(e.dst) in vertex_ids for e in edges)
+    # a source computed outside the enumeration, for a path built from copies
+    fresh = KGraph(kg.ctx)
+    p = paths[-1]
+    source = fresh.source(KPath(tuple(list(p.vertex)), p.element, p.degree))
+    assert source == kg.source(p)
+    assert any(source is v for v in fresh.vertices())
+    if conv is Convention.HONG_KANG:
+        assert all(id(v) in vertex_ids for v in kg.weyl_vertices.values())
+
+
+def _factorizations(kg, p, m, n):
+    """Every (g, h) of degrees (m, n) with r(g) = r(p), s(g) = r(h) and
+    compose(g, h) = p, found by scanning all paths of both degrees."""
+    return [(g, h) for g in kg.paths_of_degree(m) if g.vertex == p.vertex
+            for h in kg.paths_of_degree(n)
+            if h.vertex == kg.source(g) and kg.compose(g, h) == p]
+
+
+@pytest.mark.parametrize("name,conv,bound", [
+    (name, conv, bound) for name, bound in (("A2", (2, 1)), ("C2", (1, 1)))
+    for conv in Convention])
+def test_factorization_matches_scan_of_all_paths(name, conv, bound):
+    kg = KGraph(CrystalContext(builtin_datum(name), conv))
+    checks = 0
+    for p in kg.enumerate_paths(bound):
+        for m in kg.degrees_up_to(p.degree):
+            n = tuple(a - b for a, b in zip(p.degree, m))
+            (want,) = _factorizations(kg, p, m, n)
+            assert kg.factorization_check(p, m, n) == want
+            checks += 1
+    assert checks > 100
+
+
+def test_factorization_counts_every_candidate(monkeypatch, a2):
+    # with every product made equal to p, each candidate pair matches: the
+    # search is exhaustive and refuses 2 or more matches, and it refuses 0
+    kg = KGraph(a2)
+    p = kg.paths_of_degree((1, 1))[5]
+    m, n = (1, 0), (0, 1)
+    gs = [g for g in kg.paths_of_degree(m) if g.vertex == p.vertex]
+    candidates = sum(h.vertex == kg.source(g) for g in gs
+                     for h in kg.paths_of_degree(n))
+    assert candidates > len(gs) > 1
+    want = a2.weight_crystal((1, 1)).position(p.element)
+    monkeypatch.setattr(kg, "_product", lambda entry, i1, i2: want)
+    with pytest.raises(ValueError, match=f"has {candidates} factorizations"):
+        kg.factorization_check(p, m, n)
+    monkeypatch.setattr(kg, "_product", lambda entry, i1, i2: -3)
+    with pytest.raises(ValueError, match="has 0 factorizations"):
+        kg.factorization_check(p, m, n)
+
+
+def test_factorization_looks_up_one_position(monkeypatch, c2):
+    # once the paths of both degrees are indexed, a check looks up only the
+    # position of p's own element
+    from crystalgraphs.crystal import Crystal
+    kg = KGraph(c2)
+    p = kg.paths_of_degree((1, 1))[7]
+    kg.factorization_check(p, (1, 0), (0, 1))
+    calls = []
+    position = Crystal.position
+    monkeypatch.setattr(Crystal, "position",
+                        lambda self, b: calls.append(b) or position(self, b))
+    kg.factorization_check(p, (1, 0), (0, 1))
+    assert calls == [p.element]
+
+
 def test_order_compatibility(a2_kg):
     for p in a2_kg.enumerate_paths((1, 1)):
         assert a2_kg.vertex_leq(a2_kg.range(p), a2_kg.source(p))
@@ -328,10 +406,10 @@ def test_a5_left_keys_are_right_ends():
 
 def test_skeleton_json_and_dot(a2_kg):
     skel = a2_kg.skeleton()
-    data = json.loads(skel.to_json(show_loops=False))
+    data = json.loads(written(skel.to_json, show_loops=False))
     assert len(data["edges"]) == 12
     assert all(set(e) == {"src", "dst", "color", "element"} for e in data["edges"])
-    dot = skel.to_dot(show_loops=True)
+    dot = written(skel.to_dot, show_loops=True)
     assert dot.count("->") == 24
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from crystalgraphs import builtin_datum, weyl
 from crystalgraphs.weyl import WeylGroup
 
-from conftest import longest
+from conftest import longest, written
 
 A2 = WeylGroup.generate(builtin_datum("A2"))
 C2 = WeylGroup.generate(builtin_datum("C2"))
@@ -223,10 +223,10 @@ def test_generation_cap(monkeypatch):
 
 def test_graph_export_shapes():
     graph = A2.weak_graph("right")
-    data = json.loads(graph.to_json(vertex_str=repr))
+    data = json.loads(written(graph.to_json, vertex_str=repr))
     assert set(data) == {"vertices", "edges"}
     assert all(set(e) == {"src", "dst", "color"} for e in data["edges"])
-    dot = graph.to_dot(vertex_str=repr)
+    dot = written(graph.to_dot, vertex_str=repr)
     assert dot.startswith("digraph") and 'color="1"' in dot
 
 
