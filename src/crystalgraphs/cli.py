@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Iterator, TextIO
 
-from .crystal import CrystalContext
+from .crystal import Convention, CrystalContext
 from .kgraph import KGraph
 from .rightends import right_end_tuple
 from .rootdata import resolve_datum, type_a_cartan
@@ -124,8 +124,14 @@ _JSON_ROW_SEP = ",\n      "
 
 def cmd_rightends(args) -> int:
     ctx = _context(args)
-    if args.via == "slides" and ctx.datum.cartan != type_a_cartan(ctx.datum.rank):
-        raise ValueError("the slides route is only defined for type A algebras")
+    if args.via == "slides":
+        if ctx.datum.cartan != type_a_cartan(ctx.datum.rank):
+            raise ValueError("the slides route is only defined for type A algebras")
+        # it reads each element of B(rho) as a tableau, and only the
+        # hong-kang realization's elements are tableaux
+        if ctx.convention is not Convention.HONG_KANG:
+            raise ValueError("the slides route is only defined under the "
+                             f"hong-kang convention, not {ctx.convention.value}")
     rho = ctx.rho_crystal()
     name = cache(element_str)  # the factors repeat: each name is made once
     rows = []

@@ -319,6 +319,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
             if kept is down:
                 order.append(down)
             lowering[i][elem] = kept
+    del seen  # not needed by the crystal, which builds its own index
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
     return Crystal(datum, order, None, lowering, name=name, factors=factors)
 

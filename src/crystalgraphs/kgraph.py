@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import product as iterproduct
 from typing import NamedTuple
 
-from .crystal import Crystal, CrystalContext, extremal_element
+from .crystal import (Crystal, CrystalContext, check_crystal_size,
+                      extremal_element, tensor_component)
 from .graphs import ColoredDigraph, Edge
 from .rightends import (apply_plan, braid_plan, in_cartan_component,
                         right_end_chain, right_end_tuple, sorting_word)
@@ -50,18 +51,29 @@ class ProductTable(NamedTuple):
 
 class KGraph:
     def __init__(self, ctx: CrystalContext):
+        """Builds B(rho) once, outside the context's cache, reads each
+        element's right-end tuple, and keeps only the vertices and each
+        element's vertex label; the crystal is dropped before any path is
+        built, and `fiber` rebuilds it through the context on first use."""
         self.ctx = ctx
         self.datum = ctx.datum
-        rho = ctx.rho_crystal()
-        fibers: dict[tuple, list] = {}
-        for c in rho.elements:
-            v = right_end_tuple(ctx, c)
-            fibers.setdefault(v, []).append(c)
-        self._vertices = tuple(sorted(fibers, key=str))
-        self._fibers = {v: tuple(cs) for v, cs in fibers.items()}
+        check_crystal_size(ctx.datum, ctx.rho)
+        rho = tensor_component([ctx.fundamental(i) for i in ctx.datum.indices],
+                               ctx.convention)
+        # labels[k]: the vertex of element k, as its place in order of first sight
+        first_seen: dict[tuple, int] = {}
+        labels = array("i", [0]) * len(rho)
+        for k, c in enumerate(rho.elements):
+            labels[k] = first_seen.setdefault(right_end_tuple(ctx, c),
+                                              len(first_seen))
+        del rho
+        self._labels = labels
+        self._first_seen = tuple(first_seen)
+        self._vertices = tuple(sorted(first_seen, key=str))
         # each vertex to itself, so that a tuple equal to a vertex can be
         # swapped for the one object every path and edge shares
         self._vertex = {v: v for v in self._vertices}
+        self._fibers: dict[tuple, tuple] | None = None
         self._rows: dict[tuple, tuple[dict, ...]] = {}
         self._sources: dict[KPath, tuple] = {}
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
@@ -75,7 +87,19 @@ class KGraph:
         return self._vertices
 
     def fiber(self, v: tuple) -> tuple:
-        """All elements of B(rho) whose right-end tuple is v."""
+        """All elements of B(rho) whose right-end tuple is v, in the order of
+        `ctx.rho_crystal().elements`; the fibers are grouped on first use by
+        the labels read at construction, so no right end is computed twice."""
+        if self._fibers is None:
+            elements = self.ctx.rho_crystal().elements
+            if len(elements) != len(self._labels):
+                raise RuntimeError(
+                    f"B(rho) has {len(elements)} elements, but "
+                    f"{len(self._labels)} were labelled at construction")
+            groups: list[list] = [[] for _ in self._first_seen]
+            for c, label in zip(elements, self._labels):
+                groups[label].append(c)
+            self._fibers = dict(zip(self._first_seen, map(tuple, groups)))
         return self._fibers[v]
 
     @cached_property

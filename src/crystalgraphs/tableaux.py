@@ -20,7 +20,8 @@ def _is_column(col) -> bool:
 
 
 class Tableau:
-    """A straight-shape semistandard tableau, stored by rows of integers."""
+    """A straight-shape semistandard tableau, stored by rows of integers;
+    its columns are kept once known."""
 
     def __init__(self, rows):
         self.rows = int_rows(rows, "a tableau must be an array of rows, "
@@ -35,24 +36,29 @@ class Tableau:
         for up, down in zip(self.rows, self.rows[1:]):
             if any(a >= b for a, b in zip(up, down)):
                 raise ValueError("columns must strictly increase")
+        self._columns: tuple[Column, ...] | None = None
 
     @classmethod
     def from_columns(cls, columns) -> "Tableau":
-        columns = [tuple(c) for c in columns]
-        height = max((len(c) for c in columns), default=0)
-        rows = []
-        for r in range(height):
-            rows.append([c[r] for c in columns if len(c) > r])
-        return cls(rows)
+        """The tableau with these columns, left to right; their lengths must
+        weakly decrease and be positive, so that the rows give them back."""
+        columns = tuple(map(tuple, columns))
+        lengths = tuple(map(len, columns))
+        if any(a < b for a, b in zip(lengths, lengths[1:])) or 0 in lengths:
+            raise ValueError(f"column lengths {lengths} are not a partition shape")
+        rows = [[c[r] for c in columns if len(c) > r]
+                for r in range(lengths[0] if lengths else 0)]
+        tab = cls(rows)
+        tab._columns = columns
+        return tab
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        if not self.rows:
-            return ()
-        return tuple(
-            tuple(row[c] for row in self.rows if len(row) > c)
-            for c in range(len(self.rows[0]))
-        )
+        if self._columns is None:
+            self._columns = tuple(
+                tuple(row[c] for row in self.rows if len(row) > c)
+                for c in range(len(self.rows[0]) if self.rows else 0))
+        return self._columns
 
     def column_lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.columns)

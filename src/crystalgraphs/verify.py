@@ -11,7 +11,6 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import groupby
 from itertools import product as iterproduct
 
 from . import fixtures
@@ -321,29 +320,29 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
 
     # composition in one pass: additivity and endpoints of every composable
     # pair, associativity of every composable triple as equal positions in
-    # B(deg p + deg q + deg r), read from the product tables
+    # B(deg p + deg q + deg r), read from the product tables; the paths come
+    # degree by degree, with the positions and sources that the k-graph's
+    # index by range vertex holds
     product, table = kg._product, kg._product_table
-    indexed = [(p, ctx.weight_crystal(p.degree).position(p.element))
-               for p in paths]
-    by_range: dict = {}
-    by_source: dict = {}
-    for p, ip in indexed:
-        by_range.setdefault(kg.range(p), []).append((p, ip))
-        by_source.setdefault(kg.source(p), []).append((p, ip))
-    for q, iq in indexed:
-        sq = kg.source(q)
-        rs = by_range.get(sq, ())
-        # the r after q, in runs of one degree (paths come degree by degree):
-        # a run shares the tables of (pq) r and of p (qr)
+    by_range = [kg._paths_by_range(d) for d in lam_list]
+    indexed = [entry for index in by_range for run in index.values() for entry in run]
+    by_source: dict = {}  # source -> degree -> [(p, position)], in path order
+    for p, ip, sp in indexed:
+        by_source.setdefault(sp, {}).setdefault(p.degree, []).append((p, ip))
+    for q, iq, sq in indexed:
+        # the r after q, in runs of one degree: a run shares the tables of
+        # (pq) r and of p (qr)
         runs = []
-        for r_degree, run in groupby(rs, key=lambda r_ir: r_ir[0].degree):
-            qr = table(q.degree, r_degree)
-            runs.append((r_degree, qr.degree,
-                         [(r, ir, product(qr, iq, ir)) for r, ir in run]))
+        for index in by_range:
+            rs = index.get(sq)
+            if rs:
+                r_degree = rs[0][0].degree
+                qr = table(q.degree, r_degree)
+                runs.append((r_degree, qr.degree,
+                             [(r, ir, product(qr, iq, ir)) for r, ir, _ in rs]))
         # the p before q, in runs of one degree: a run shares the table of
         # p q and, per run of r, the tables of (pq) r and of p (qr)
-        ps = by_source.get(kg.range(q), ())
-        for p_degree, run_p in groupby(ps, key=lambda p_ip: p_ip[0].degree):
+        for p_degree, run_p in by_source.get(q.vertex, {}).items():
             pq_table = table(p_degree, q.degree)
             triples = [(table(pq_table.degree, r_degree), table(p_degree, qr_degree), run)
                        for r_degree, qr_degree, run in runs]
@@ -354,7 +353,7 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 spq = kg.source(pq)
                 rep.check(pq.vertex == p.vertex and spq == sq,
                           "endpoints of %s * %s are wrong", p, q)
-                if rs and spq != sq:
+                if runs and spq != sq:
                     raise ValueError("paths are not composable: source(p) != range(q)")
                 ipq = product(pq_table, ip, iq)
                 for left, right, run in triples:

@@ -369,6 +369,13 @@ def test_rightends_slides_rejected_off_type_a(capsys):
     assert code == 2 and "type A" in err
 
 
+def test_rightends_slides_rejected_under_opposite(capsys):
+    code, out, err = run(capsys, "rightends", "--algebra", "A3", "--via", "slides",
+                         "--convention", "opposite")
+    assert code == 2 and out == ""
+    assert "slides route" in err and "opposite" in err
+
+
 def test_keys_command(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps([[1, 2, 3], [2, 5], [4]]))
@@ -468,6 +475,8 @@ EXIT_CODES = [
                  id="embeddings-opposite-A2"),
     pytest.param(2, False, ("braiding", "--algebra", "A2", "--factors", "1,5"),
                  id="braiding-index"),
+    pytest.param(2, False, ("rightends", "--algebra", "A2", "--via", "slides",
+                            "--convention", "opposite"), id="slides-opposite"),
     pytest.param(2, False, ("skeleton", "--algebra", "A9"), id="rho-too-large"),
     pytest.param(2, False, ("verify", "--suite", "kgraph-axioms", "--algebra", "A4",
                             "--degree-bound", "9,9,9,9"), id="bound-too-large"),

@@ -496,3 +496,97 @@ def test_weyl_vertex_map_is_built_once(a2):
     emb.vertex_map.clear()
     assert kg.weyl_vertices == {w: kg.weyl_vertex(w) for w in kg.weyl_group}
     assert kg.skeleton() is kg.skeleton()
+
+
+# -- what a k-graph keeps ---------------------------------------------------------
+
+def _fibers_by_right_ends(ctx):
+    """The independent route: B(rho) grouped by `right_end_tuple`, per vertex
+    in element order."""
+    from crystalgraphs import right_end_tuple
+    groups = {}
+    for c in ctx.rho_crystal().elements:
+        groups.setdefault(right_end_tuple(ctx, c), []).append(c)
+    return {v: tuple(cs) for v, cs in groups.items()}
+
+
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in ("A2", "A3", "A4", "A5", "C2")
+                                       for conv in Convention])
+def test_fibers_match_grouping_by_right_ends(name, conv):
+    ctx = CrystalContext(builtin_datum(name), conv)
+    kg = KGraph(ctx)
+    expected = _fibers_by_right_ends(ctx)
+    assert kg.vertices() == tuple(sorted(expected, key=str))
+    assert {v: kg.fiber(v) for v in kg.vertices()} == expected
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_kgraph_keeps_no_rho(monkeypatch, name):
+    import gc
+    import weakref
+    from crystalgraphs import kgraph
+    from crystalgraphs.crystal import tensor_component
+    built = []
+
+    def recording(*args, **kwargs):
+        crystal = tensor_component(*args, **kwargs)
+        built.append(weakref.ref(crystal))
+        return crystal
+
+    monkeypatch.setattr(kgraph, "tensor_component", recording)
+    ctx = CrystalContext(builtin_datum(name))
+    rho_funds = ctx.fundamental_indices(ctx.rho)
+    gc.disable()  # the crystal must be freed by reference counting alone
+    try:
+        kg = KGraph(ctx)
+    finally:
+        gc.enable()
+    assert len(built) == 1 and built[0]() is None
+    assert rho_funds not in ctx._components
+    kg.skeleton()
+    for i in ctx.datum.indices:
+        kg.paths_of_degree(ctx.datum.fundamental_weight(i))
+    assert rho_funds not in ctx._components
+    # the fibers read B(rho) through the context, which keeps it
+    kg.fiber(kg.vertices()[0])
+    assert rho_funds in ctx._components and len(built) == 1
+
+
+def test_right_ends_run_once_per_element(monkeypatch):
+    from crystalgraphs import kgraph, rightends
+    seen = []
+
+    def counting(ctx, elem):
+        seen.append(elem)
+        return rightends.right_end_tuple(ctx, elem)
+
+    monkeypatch.setattr(kgraph, "right_end_tuple", counting)
+    ctx = CrystalContext(builtin_datum("A3"))
+    kg = KGraph(ctx)
+    for v in kg.vertices():
+        kg.fiber(v)
+    elements = ctx.rho_crystal().elements
+    assert sorted(seen) == sorted(elements) and len(seen) == len(elements)
+
+
+def test_fiber_refuses_a_crystal_of_another_size(monkeypatch):
+    ctx = CrystalContext(builtin_datum("A2"))
+    kg = KGraph(ctx)
+    monkeypatch.setattr(ctx, "rho_crystal", lambda: ctx.weight_crystal((1, 0)))
+    with pytest.raises(RuntimeError, match="3 elements, but 8"):
+        kg.fiber(kg.vertices()[0])
+
+
+@pytest.mark.parametrize("name,conv,bound", [("A2", Convention.HONG_KANG, (2, 2)),
+                                             ("C2", Convention.OPPOSITE, (2, 2)),
+                                             ("A3", Convention.HONG_KANG, (1, 1, 1))])
+def test_range_index_lists_the_paths_in_enumeration_order(name, conv, bound):
+    # the composition pass of `kgraph-axioms` reads the paths this way
+    kg = KGraph(CrystalContext(builtin_datum(name), conv))
+    paths = kg.enumerate_paths(bound)
+    indexed = [entry for d in kg.degrees_up_to(bound)
+               for run in kg._paths_by_range(d).values() for entry in run]
+    assert [p for p, _, _ in indexed] == list(paths)
+    for p, ip, sp in indexed:
+        assert kg.ctx.weight_crystal(p.degree).elements[ip] == p.element
+        assert sp == kg.source(p)

@@ -44,6 +44,32 @@ def test_columns_and_rows():
     assert Tableau.from_columns(t.columns) == t
 
 
+def _rebuilt_columns(tab):
+    """The columns read off the rows, without the cache."""
+    return tuple(tuple(row[c] for row in tab.rows if len(row) > c)
+                 for c in range(len(tab.rows[0]) if tab.rows else 0))
+
+
+def test_cached_columns_match_the_rows(a2):
+    tabs = [Tableau(rows) for rows in ([[1, 2, 3], [2, 5], [4]], [[1]], [])]
+    tabs += enumerate_ssyt((3, 2, 1), 4)
+    tabs += [from_crystal(b) for b in a2.rho_crystal().elements]
+    tabs += [Tableau.from_columns(cols) for cols in ([(1, 3), [2]], (), [(2,)])]
+    for tab in tabs:
+        assert tab.columns == _rebuilt_columns(tab)
+        assert tab.columns is tab.columns
+        assert Tableau(tab.rows).columns == tab.columns
+        assert Tableau.from_columns(tab.columns) == tab
+    assert all(type(c) is tuple for c in Tableau.from_columns([[1, 2], [3]]).columns)
+
+
+@pytest.mark.parametrize("columns", [[(1,), (2, 3)], [(1, 2), ()], [()]])
+def test_from_columns_refuses_lengths_of_no_shape(columns):
+    # the rows of these would spell other columns
+    with pytest.raises(ValueError, match="column lengths"):
+        Tableau.from_columns(columns)
+
+
 def test_from_crystal_examples():
     assert from_crystal((A1_, B1_)) == Tableau([[1, 1], [2]])
     assert from_crystal((B2_,)) == Tableau([[1], [3]])
