@@ -1,7 +1,7 @@
 """Crystals, Cartan braidings, right ends, keys, and higher-rank graphs."""
 
 from .crystal import (Convention, Crystal, CrystalContext, build_fundamental,
-                      canonical_isomorphism, cartan_braiding, cartan_component,
+                      canonical_isomorphism, cartan_braiding,
                       crystal_from_dict, crystal_from_file, extremal_element,
                       tensor, tensor_component, trivial_crystal, weyl_action)
 from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,
@@ -9,7 +9,7 @@ from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,
 from .graphs import ColoredDigraph, Edge
 from .kgraph import KGraph, KPath
 from .rightends import (apply_chain, in_cartan_component, right_end_chain,
-                        right_end_inclusion, right_end_tuple)
+                        right_end_tuple)
 from .rootdata import (NonFiniteTypeError, RootDatum, RootVector, Weight,
                        builtin_datum, datum_from_dict, load_datum,
                        resolve_datum)

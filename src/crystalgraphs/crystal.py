@@ -324,22 +324,6 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     return Crystal(datum, order, None, lowering, name=name, factors=factors)
 
 
-def cartan_component(crystal: Crystal) -> Crystal:
-    """The component of the product of highest weight elements, found by
-    breadth-first search over all operators."""
-    if crystal.factors is None:
-        raise ValueError(f"{crystal.name} has no recorded factor list")
-    if not crystal.factors:
-        return crystal
-    elems = crystal.component_elements(
-        tuple(c.hw_element() for c in crystal.factors))
-    keep = set(elems)
-    lowering = {i: {x: y for x, y in fmap.items() if x in keep}
-                for i, fmap in crystal._f.items()}
-    return Crystal(crystal.datum, elems, None, lowering,
-                   name=f"{crystal.name}.comp", factors=crystal.factors)
-
-
 # -- Weyl group action -------------------------------------------------------
 
 def weyl_action(crystal: Crystal, i: int, b):
@@ -412,8 +396,8 @@ def cartan_braiding(c1: Crystal, c2: Crystal,
     products and zero on every other element.
     """
     conv = as_convention(convention)
-    p12 = tensor((c1, c2), conv)
-    comp12 = cartan_component(p12)
+    p12 = tensor((c1, c2), conv)  # only the table's keys, in product order
+    comp12 = tensor_component((c1, c2), conv)
     comp21 = tensor_component((c2, c1), conv)
     iso = canonical_isomorphism(comp12, comp21)
     return {pair: iso.get(pair) for pair in p12.elements}
@@ -609,9 +593,14 @@ class CrystalContext:
         self._fund[i] = crystal
 
     def weight(self, coords) -> Weight:
+        """coords as a Weight; ValueError unless every coordinate is an int
+        (bool, float and string are refused, not coerced)."""
         if isinstance(coords, Weight):
             return coords
-        return Weight(tuple(int(c) for c in coords))
+        coords = tuple(coords)
+        if not all(type(c) is int for c in coords):
+            raise ValueError(f"weight coordinates must be integers, got {coords!r}")
+        return Weight(coords)
 
     @property
     def rho(self) -> Weight:
@@ -619,15 +608,14 @@ class CrystalContext:
 
     def fundamental_indices(self, lam) -> tuple[int, ...]:
         """The sorted multiset of fundamental indices summing to lam."""
-        key = lam.coords if isinstance(lam, Weight) else tuple(lam)
-        funds = self._fund_indices.get(key)
+        lam = self.weight(lam)
+        funds = self._fund_indices.get(lam.coords)
         if funds is None:
-            lam = self.weight(lam)
             if not self.datum.is_dominant(lam):
                 raise ValueError(f"{lam} is not dominant")
             funds = tuple(i for i in self.datum.indices
                           for _ in range(lam.coords[i - 1]))
-            self._fund_indices[key] = funds
+            self._fund_indices[lam.coords] = funds
         return funds
 
     def cartan_of(self, funds: tuple[int, ...]) -> Crystal:

@@ -10,6 +10,8 @@ import json
 import os
 from importlib import resources
 
+from .rootdata import int_rows
+
 ENV_VAR = "CRYSTALGRAPHS_FIXTURES"
 
 
@@ -23,10 +25,12 @@ def load(name: str) -> dict:
 
 
 def as_column(value):
-    """Type-A element ids arrive as arrays; C2 ids as strings."""
+    """Type-A element ids arrive as arrays of integers, read as tuples and
+    never coerced; C2 ids as strings."""
     if isinstance(value, str):
         return value
-    return tuple(int(x) for x in value)
+    return int_rows([value], f"fixture element id {value!r} is neither a "
+                    "string nor an array of integers")[0]
 
 
 def as_pair(value) -> tuple:

@@ -6,15 +6,14 @@ pairwise braiding tables between fundamentals.  A positional braid word is
 built once per factor list as a plan (`braid_plan`) and applied to elements
 by `apply_plan`; the n chains of a factor list are such plans too, cached
 in the context per factor list, and `chain_ends` runs them all in one pass.
-The inclusion realization
-B(lam) -> B(lam - mu) (x) B(mu) is also provided; it serves as an independent
-second route for the same values.
+The chains are the only route here; the tests keep the inclusion
+B(lam) -> B(lam - mu) (x) B(mu) as an independent second route to the same
+right ends.
 """
 
 from __future__ import annotations
 
-from .crystal import (Crystal, CrystalContext, canonical_isomorphism,
-                      cartan_component, tensor)
+from .crystal import CrystalContext
 
 
 def _chain_plans(ctx: CrystalContext, funds: tuple) -> tuple:
@@ -122,30 +121,3 @@ def right_end_tuple(ctx: CrystalContext, elem) -> tuple:
     if ends is None:
         raise ValueError(f"{elem!r} is outside the Cartan component")
     return ends
-
-
-def right_end_inclusion(ctx: CrystalContext, crystal: Crystal, b, mu):
-    """R_mu(b) through the inclusion B(lam) -> B(lam - mu) (x) B(mu).
-
-    `crystal` is either a connected crystal or a tensor product with recorded
-    factors; elements outside the Cartan component map to None (the value 0).
-    """
-    mu = ctx.weight(mu)
-    if not crystal.is_connected():
-        comp = cartan_component(crystal)
-        if b not in comp:
-            return None
-        total = comp.highest_weight
-        sorted_real = ctx.weight_crystal(total)
-        b = canonical_isomorphism(comp, sorted_real)[b]
-        crystal = sorted_real
-    lam = crystal.highest_weight
-    if not (ctx.datum.is_dominant(mu) and ctx.datum.is_dominant(lam - mu)):
-        raise ValueError(f"weights do not satisfy the right-end precondition: "
-                         f"{lam} vs {mu}")
-    left = ctx.weight_crystal(lam - mu)
-    right = ctx.weight_crystal(mu)
-    pair = tensor((left, right), ctx.convention)
-    comp = cartan_component(pair)
-    iso = canonical_isomorphism(crystal, comp)
-    return iso[b][1]

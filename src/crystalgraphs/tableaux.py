@@ -81,6 +81,8 @@ class SkewTableau:
         inner = tuple(int(x) for x in inner)
         while outer and outer[-1] == 0:
             outer = outer[:-1]
+        if any(inner[len(outer):]):
+            raise ValueError("inner shape exceeds outer shape")
         inner = inner[:len(outer)]
         while inner and inner[-1] == 0:
             inner = inner[:-1]

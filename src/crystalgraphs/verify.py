@@ -259,6 +259,8 @@ def _degree_bound(ctx: CrystalContext, degree_bound,
     """
     rank = ctx.datum.rank
     bound = tuple(degree_bound) if degree_bound else (1,) * rank
+    if not all(type(b) is int for b in bound):
+        raise ValueError(f"degree bound {bound} must have integer entries")
     if len(bound) != rank or any(b < 0 for b in bound):
         raise ValueError(f"degree bound {bound} does not fit rank {rank}")
     check_crystal_size(ctx.datum, ctx.weight([composed * b for b in bound]))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crystalgraphs import (Convention, CrystalContext, KGraph, Weight, WeylGroup,
-                           builtin_datum)
+                           builtin_datum, canonical_isomorphism, tensor_component)
 from crystalgraphs.rightends import apply_plan, braid_plan, sorting_word
 
 
@@ -110,6 +110,40 @@ def ref_apply(factors, conv, elem, i, lower):
         return None if res is None else res + (last_b,)
     b2 = last_c.f(i, last_b) if lower else last_c.e(i, last_b)
     return None if b2 is None else elem[:-1] + (b2,)
+
+
+# -- component and right-end references: the breadth-first component of the --
+# -- full product, and right ends through the inclusion ----------------------
+
+def ref_component(product) -> tuple:
+    """The Cartan component of a full tensor product, breadth first over all
+    operators from the product of highest weight elements."""
+    return product.component_elements(
+        tuple(c.hw_element() for c in product.factors))
+
+
+def ref_right_end_inclusion(ctx, crystal, b, mu):
+    """R_mu(b) through the inclusion B(lam) -> B(lam - mu) (x) B(mu).
+
+    `crystal` is either a connected crystal or a tensor product with recorded
+    factors, built under the context's convention; elements outside the
+    Cartan component map to None (the value 0).
+    """
+    mu = ctx.weight(mu)
+    if not crystal.is_connected():
+        comp = tensor_component(crystal.factors, ctx.convention)
+        if b not in comp:
+            return None
+        sorted_real = ctx.weight_crystal(comp.highest_weight)
+        b = canonical_isomorphism(comp, sorted_real)[b]
+        crystal = sorted_real
+    lam = crystal.highest_weight
+    if not (ctx.datum.is_dominant(mu) and ctx.datum.is_dominant(lam - mu)):
+        raise ValueError(f"weights do not satisfy the right-end precondition: "
+                         f"{lam} vs {mu}")
+    pair = tensor_component((ctx.weight_crystal(lam - mu), ctx.weight_crystal(mu)),
+                            ctx.convention)
+    return canonical_isomorphism(crystal, pair)[b][1]
 
 
 # -- the product reference: the tuple route that product tables replace -------

@@ -59,8 +59,8 @@ def test_file_and_stdout_get_the_same_bytes(tmp_path, capsys, argv):
     assert target.read_bytes() == printed.encode()
 
 
-# SHA-256 of whole outputs: a change to the tensor rule or to the braid
-# chains must keep these outputs byte-identical
+# SHA-256 of whole outputs: a change to the tensor rule, to the component
+# builder or to the braid chains must keep these outputs byte-identical
 PINNED_OUTPUTS = [
     pytest.param(("skeleton", "--algebra", "A4", "--output", "json"),
                  "d1fa31b47c71e3f517283953784d2f66ba08d1dbb10b340ea29b80027345965b",
@@ -103,6 +103,26 @@ PINNED_OUTPUTS = [
     pytest.param(("verify", "--suite", "embeddings", "--algebra", "A4"),
                  "e0fe86784ce4d61cfd942069a3907c1647daaab0c295a1242313991db28ab2e7",
                  id="verify-embeddings-A4"),
+    pytest.param(("braiding", "--algebra", "A3", "--factors", "1,3",
+                  "--format", "json"),
+                 "1d3864782ce1de38a84d4da1d9f6085e01faa8223b1559b84acd46fb5de6bfd5",
+                 id="braiding-A3-1,3"),
+    pytest.param(("braiding", "--algebra", "A3", "--factors", "3,1",
+                  "--format", "json"),
+                 "5a306eb54569e57d3655c6f1e8e381de52bb2521f129945ba44f02dff5bf7f0f",
+                 id="braiding-A3-3,1"),
+    pytest.param(("braiding", "--algebra", "A3", "--factors", "1,3",
+                  "--convention", "opposite", "--format", "json"),
+                 "b41e49bde09084d683295101a418f03e35a2e41d90db340a8b397356b1bedd0b",
+                 id="braiding-A3-1,3-opposite"),
+    pytest.param(("braiding", "--algebra", "A3", "--factors", "3,1",
+                  "--convention", "opposite", "--format", "json"),
+                 "a5779d8329b9d0afdca68f5c96e4164cfa8ea3f9c2a8235b4499a70e864185bf",
+                 id="braiding-A3-3,1-opposite"),
+    pytest.param(("braiding", "--algebra", "C2", "--factors", "1,2",
+                  "--convention", "opposite", "--format", "json"),
+                 "d45e1fd2dd53383c72a536d426b8079c9a2754ddca908cdce22a4e0cef28a43f",
+                 id="braiding-C2-1,2-opposite"),
 ]
 
 
@@ -436,14 +456,41 @@ ALL_FIXTURES = [
 ]
 
 
-def tamper_fixtures(directory):
-    """Copy every fixture into `directory`, with one A2 braiding entry zeroed."""
+def copy_fixtures(directory):
+    """Copy every fixture into `directory`."""
     for name in ALL_FIXTURES:
         (directory / name).write_text(json.dumps(fixtures.load(name)))
+    return directory
+
+
+def tamper_fixtures(directory):
+    """Copy every fixture into `directory`, with one A2 braiding entry zeroed."""
+    copy_fixtures(directory)
     data = fixtures.load("a2_braiding.json")
     data["pairs"][0]["out"] = None
     (directory / "a2_braiding.json").write_text(json.dumps(data))
     return directory
+
+
+def test_fixture_ids_are_read_not_coerced():
+    assert fixtures.as_column([1, 3]) == (1, 3)
+    assert fixtures.as_column("b3") == "b3"
+    for bad in ([1.9, 2], [True], ["1"], [None], 3, {"1": 1}):
+        with pytest.raises(ValueError, match="neither a string nor an array"):
+            fixtures.as_column(bad)
+
+
+def test_fractional_fixture_id_exits_2(tmp_path):
+    # read as 1, the replaced table would pass
+    copy_fixtures(tmp_path)
+    data = fixtures.load("a2_braiding.json")
+    assert data["pairs"][0]["in"][0] == [1]
+    data["pairs"][0]["in"][0] = [1.9]
+    (tmp_path / "a2_braiding.json").write_text(json.dumps(data))
+    proc = run_process("verify", "--suite", "a2-fixtures", fixture_dir=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "1.9" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -7,14 +7,14 @@ from hypothesis import given, strategies as st
 from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGroup,
                            build_fundamental, builtin_datum,
                            canonical_isomorphism,
-                           cartan_braiding, cartan_component,
+                           cartan_braiding,
                            crystal_from_dict, crystal_from_file,
                            extremal_element, from_crystal, load_datum, tensor,
                            tensor_component, trivial_crystal, weyl_action)
 from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
-from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_phi_eps,
-                      walk_epsilon, walk_phi)
+from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_component,
+                      ref_phi_eps, walk_epsilon, walk_phi)
 
 
 ORACLE_CONTEXTS = {(name, conv): CrystalContext(builtin_datum(name), conv)
@@ -299,12 +299,15 @@ def test_extremal_memo_matches_word_replay(name, convention, long_first):
 
 
 def test_cartan_component_sizes(a2, c2_opp):
-    P = tensor((a2.fundamental(1), a2.fundamental(2)), a2.convention)
-    assert len(cartan_component(P)) == 8
+    factors = (a2.fundamental(1), a2.fundamental(2))
+    assert len(tensor_component(factors, a2.convention)) == 8
+    assert len(ref_component(tensor(factors, a2.convention))) == 8
     assert len(c2_opp.rho_crystal()) == 16
     B = a2.fundamental(1)
-    assert cartan_component(tensor((B,), a2.convention)).elements == tuple(
+    assert ref_component(tensor((B,), a2.convention)) == tuple(
         (b,) for b in B.elements)
+    assert set(tensor_component((B,), a2.convention).elements) == {
+        (b,) for b in B.elements}
 
 
 def test_tensor_component_matches_full_product_component():
@@ -318,11 +321,12 @@ def test_tensor_component_matches_full_product_component():
                 case = (name, convention.value, funds)
                 factors = [ctx.fundamental(i) for i in funds]
                 lazy = tensor_component(factors, convention)
-                full = cartan_component(tensor(factors, convention))
-                assert set(lazy.elements) == set(full.elements), case
+                full = tensor(factors, convention)
+                comp = ref_component(full)
+                assert set(lazy.elements) == set(comp), case
                 for i in indices:
                     assert all(lazy.f(i, b) == full.f(i, b)
-                               for b in full.elements), (case, i)
+                               for b in comp), (case, i)
                 lazy.validate()
         # both sides above sum factor weights, so weights are checked here
         # against B(lam) itself: lowering shifts them by -alpha_i, pairings
@@ -357,6 +361,23 @@ def test_weight_crystal_refuses_oversized_crystals(monkeypatch):
     monkeypatch.setattr(CrystalContext, "cartan_of", None)  # nothing is built
     with pytest.raises(ValueError, match="2,097,152 elements"):
         ctx.rho_crystal()
+
+
+NON_INTEGER_WEIGHTS = [(0.9, 0), (1.0, 0), ("1", 0), (True, 0), (float("inf"), 0)]
+
+
+@pytest.mark.parametrize("coords", NON_INTEGER_WEIGHTS,
+                         ids=["0.9", "1.0", "string", "bool", "inf"])
+def test_weights_refuse_non_integers(a2, a2_kg, coords):
+    # int() would read 0.9 as 0 and "1" and True as 1, and overflow on inf
+    with pytest.raises(ValueError, match="weight coordinates must be integers"):
+        a2.weight(coords)
+    a2.fundamental_indices((1, 0))  # a cached key equal to (1.0, 0) and (True, 0)
+    with pytest.raises(ValueError, match="weight coordinates must be integers"):
+        a2.fundamental_indices(coords)
+    with pytest.raises(ValueError, match="weight coordinates must be integers"):
+        a2_kg.is_path(a2_kg.vertices()[0], ((1,),), coords)
+    assert a2.weight([1, 0]) == Weight((1, 0))
 
 
 # (algebra, factors, size named in the refusal): a product over the limit, and

@@ -116,6 +116,19 @@ def test_slide_example():
     assert back.rows_with_holes() == [[1, 2], [3]]
 
 
+def test_skew_refuses_an_inner_shape_that_leaves_the_outer_shape():
+    # inner rows below the last outer row must reach the containment check,
+    # not be cut off first, which would accept another shape
+    for outer, inner, cells in (((2, 2), (1, 1, 1), {(0, 1): 1, (1, 1): 2}),
+                                ((2, 0), (1, 1), {(0, 1): 1})):
+        with pytest.raises(ValueError, match="inner shape exceeds outer shape"):
+            SkewTableau(outer, inner, cells)
+    # trailing zeros on either shape are still just padding
+    for outer, inner in (((2, 0), (1, 0)), ((2,), (1, 0, 0)), ((2, 0), (1,))):
+        t = SkewTableau(outer, inner, {(0, 1): 1})
+        assert (t.outer, t.inner) == ((2,), (1,))
+
+
 def test_rectify_straight_is_identity():
     t = SkewTableau.from_rows([[1, 2], [2]])
     assert t.rectify() == Tableau([[1, 2], [2]])

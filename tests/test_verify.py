@@ -42,6 +42,14 @@ def test_kgraph_axioms_pass_under_opposite(algebra):
     assert rep.ok, rep.failures[:3]
 
 
+@pytest.mark.parametrize("bound", [(1.5, 1), ("1", 1), (True, 1), (1.0, 1)],
+                         ids=["1.5", "string", "bool", "1.0"])
+def test_degree_bound_refuses_non_integers(bound):
+    # unchecked, 1.5 and "1" raise TypeError deep in the suite and True runs as 1
+    with pytest.raises(ValueError, match=r"degree bound .* integer entries"):
+        run_suite("kgraph-axioms", algebra="A2", degree_bound=bound)
+
+
 def test_json_count_keeps_small_integers():
     assert json_count(0) == 0
     assert json_count(13824) == 13824
