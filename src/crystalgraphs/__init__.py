@@ -1,7 +1,7 @@
 """Crystals, Cartan braidings, right ends, keys, and higher-rank graphs."""
 
-from .crystal import (Convention, Crystal, CrystalContext, build_fundamental,
-                      canonical_isomorphism, cartan_braiding,
+from .crystal import (Convention, Crystal, CrystalContext, braiding_at,
+                      build_fundamental, canonical_isomorphism, cartan_braiding,
                       crystal_from_dict, crystal_from_file, extremal_element,
                       tensor, tensor_component, trivial_crystal, weyl_action)
 from .embeddings import (GraphEmbedding, count_weak_embeddings, embed_bruhat,

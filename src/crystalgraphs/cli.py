@@ -11,11 +11,12 @@ import json
 import sys
 from contextlib import contextmanager
 from functools import cache
+from itertools import product as iterproduct
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Iterator, TextIO
 
-from .crystal import Convention, CrystalContext
+from .crystal import Convention, CrystalContext, braiding_at
 from .kgraph import KGraph
 from .rightends import right_end_tuple
 from .rootdata import resolve_datum, type_a_cartan
@@ -96,9 +97,12 @@ def cmd_braiding(args) -> int:
         if not 1 <= k <= rank:
             raise ValueError(f"fundamental index {k} is outside 1..{rank}")
     table = ctx.braiding(i, j)
+    ci, cj = ctx.fundamental(i), ctx.fundamental(j)
     rows = []
-    for (x, y), out in sorted(table.items(), key=lambda kv: (element_str(kv[0][0]),
-                                                             element_str(kv[0][1]))):
+    pairs = sorted(iterproduct(ci.elements, cj.elements),
+                   key=lambda pair: (element_str(pair[0]), element_str(pair[1])))
+    for x, y in pairs:
+        out = braiding_at(ci, cj, table, (x, y))
         rows.append({
             "in": [element_str(x), element_str(y)],
             "out": None if out is None else [element_str(out[0]), element_str(out[1])],

@@ -1,12 +1,15 @@
 """Finite crystals: Kashiwara operators, tensor products, Weyl action,
 Cartan components and the Cartan braiding.
 
-A crystal stores its elements, the position of each and its lowering maps; zero
-is an absent value, never a sentinel element.  Raising maps are inverted per
-index on first use.  Only a crystal given weights (fundamentals, data files)
-stores them; a tensor product or component sums its factors' weights.  Tensor
-products support both bracketing conventions behind a single flag: their
-lowering operators follow the signature rule over the whole factor list.
+A crystal stores its elements and, over their positions, its lowering maps as
+arrays; zero is -1 there and None at the label API, never a sentinel element.
+Raising maps and string lengths are built per index on first use.  Only a
+crystal given weights (fundamentals, data files) stores them; a tensor product
+or component sums its factors' weights.  Tensor products support both
+bracketing conventions behind a single flag: their lowering operators follow
+the signature rule, one primitive on positions (`_acting_factor`).  A Cartan
+component is built from the components of its two halves, and a braiding
+table is one flat array over the positions of its two factors.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
+from array import array
 from enum import Enum
 from itertools import product as iterproduct
 
@@ -37,9 +40,12 @@ def as_convention(value) -> Convention:
 class Crystal:
     """A finite crystal: element ids and partial lowering operators.
 
-    ``lowering[i][b] = b'`` encodes that the i-th lowering operator sends b to
-    b'; absence encodes the value 0.  The maps are kept, not copied.  Given
-    ``weights``, the crystal stores and validates them; given None, the
+    Elements are numbered by their place in `elements`.  Lowering map i is an
+    array over those positions that holds the position of f_i(b), or -1 for
+    the value 0; the raising maps and the i-string lengths are arrays of the
+    same shape, built on first use.  ``lowering[i]`` is handed over either as
+    such an array, which is kept, or as a dict ``b -> b'`` over element ids.
+    Given ``weights``, the crystal stores and validates them; given None, the
     weight of a tuple element is the sum of its ``factors``' weights.
     """
 
@@ -50,17 +56,31 @@ class Crystal:
         self.elements = tuple(elements)
         self.factors = tuple(factors) if factors is not None else None
         self._wt = weights
-        self._index = {b: k for k, b in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError(f"{name}: duplicate element ids")
-        self._f = {i: lowering.get(i, {}) for i in datum.indices}
-        self._e: dict[int, dict] = {}
+        self._index: dict | None = None
+        self._f = {i: self._lowering_array(i, lowering.get(i, {}))
+                   for i in datum.indices}
+        self._e: dict[int, array] = {}
         self._desc: dict = {}
-        self._strings: dict[int, dict] = {}
+        self._strings: dict[int, tuple[array, array]] = {}
         self._hw = None
         self._extremal: dict[tuple, object] = {}
         if weights is not None:
             self.validate()
+
+    def _lowering_array(self, i: int, fmap) -> array:
+        """A lowering map as an array over positions; a dict over element ids
+        is converted, which needs (and so builds) the index."""
+        if isinstance(fmap, array):
+            return fmap
+        index = self.index
+        out = array("i", [-1]) * len(self.elements)
+        for b, b2 in fmap.items():
+            p, q = index.get(b), index.get(b2)
+            if p is None or q is None:
+                raise ValueError(
+                    f"{self.name}: operator {i} touches unknown elements")
+            out[p] = q
+        return out
 
     def __len__(self):
         return len(self.elements)
@@ -69,11 +89,22 @@ class Crystal:
         return iter(self.elements)
 
     def __contains__(self, b):
-        return b in self._index
+        return b in (self._index or self.index)
+
+    @property
+    def index(self) -> dict:
+        """Each element id to its position in `elements`, built on first use;
+        read-only."""
+        if self._index is None:
+            index = {b: k for k, b in enumerate(self.elements)}
+            if len(index) != len(self.elements):
+                raise ValueError(f"{self.name}: duplicate element ids")
+            self._index = index
+        return self._index
 
     def position(self, b) -> int | None:
         """The position of b in `elements`; None when b is not an element."""
-        return self._index.get(b)
+        return (self._index or self.index).get(b)
 
     def __repr__(self):
         return f"Crystal({self.name}, {len(self.elements)} elements)"
@@ -86,74 +117,89 @@ class Crystal:
             w = w + c.wt(x)
         return w
 
+    def _apply(self, fmap: array, b):
+        p = self.index.get(b)
+        if p is None:
+            return None
+        q = fmap[p]
+        return None if q < 0 else self.elements[q]
+
     def f(self, i: int, b):
         """Lowering operator; None encodes 0."""
-        return self._f[i].get(b)
+        return self._apply(self._f[i], b)
 
     def e(self, i: int, b):
         """Raising operator; None encodes 0."""
-        return self._raising(i).get(b)
+        return self._apply(self._raising(i), b)
 
-    def _raising(self, i: int) -> dict:
+    def _raising(self, i: int) -> array:
         """The inverse of lowering map i, built on first use; raises if that
         map is not injective."""
         emap = self._e.get(i)
         if emap is None:
-            fmap = self._f[i]
-            emap = {b2: b for b, b2 in fmap.items()}
-            if len(emap) != len(fmap):
-                raise ValueError(f"{self.name}: lowering operator {i} is not injective")
+            emap = array("i", [-1]) * len(self.elements)
+            for p, q in enumerate(self._f[i]):
+                if q >= 0:
+                    if emap[q] >= 0:
+                        raise ValueError(
+                            f"{self.name}: lowering operator {i} is not injective")
+                    emap[q] = p
             self._e[i] = emap
         return emap
 
     def phi(self, i: int, b) -> int:
-        return self.string_lengths(i)[b][1]
+        return self._string_arrays(i)[1][self.index[b]]
 
     def epsilon(self, i: int, b) -> int:
-        return self.string_lengths(i)[b][0]
+        return self._string_arrays(i)[0][self.index[b]]
 
-    def string_lengths(self, i: int) -> dict:
-        """(epsilon_i(b), phi_i(b)) for every element b, built on first use.
+    def _string_arrays(self, i: int) -> tuple[array, array]:
+        """(epsilon_i, phi_i) as two arrays over positions, built on first use.
 
-        Each i-string is walked once from its top, so the table costs one
+        Each i-string is walked once from its top, so the arrays cost one
         pass over the crystal.  `phi`, `epsilon`, `validate` and the tensor
-        rule all read it.
+        rule all read them.
         """
-        table = self._strings.get(i)
-        if table is None:
-            table = {}
+        arrays = self._strings.get(i)
+        if arrays is None:
+            n = len(self.elements)
+            eps, phi = array("i", [0]) * n, array("i", [0]) * n
             fmap, emap = self._f[i], self._raising(i)
-            for head in self.elements:
-                if head in emap:
+            for head in range(n):
+                if emap[head] >= 0:
                     continue
                 string = [head]
-                while (b := fmap.get(string[-1])) is not None:
-                    string.append(b)
+                while (p := fmap[string[-1]]) >= 0:
+                    string.append(p)
                 last = len(string) - 1
-                for k, b in enumerate(string):
-                    table[b] = (k, last - k)
-            self._strings[i] = table
-        return table
+                for k, p in enumerate(string):
+                    eps[p], phi[p] = k, last - k
+            arrays = self._strings[i] = (eps, phi)
+        return arrays
+
+    def string_lengths(self, i: int) -> dict:
+        """(epsilon_i(b), phi_i(b)) for every element b, read off the
+        arrays of `_string_arrays`."""
+        eps, phi = self._string_arrays(i)
+        return {b: (e, p) for b, e, p in zip(self.elements, eps, phi)}
 
     def validate(self) -> None:
         r = self.datum.rank
-        for b in self.elements:
-            if len(self.wt(b).coords) != r:
+        weights = [self.wt(b) for b in self.elements]
+        for b, w in zip(self.elements, weights):
+            if len(w.coords) != r:
                 raise ValueError(f"{self.name}: weight of {b!r} has wrong rank")
         for i, alpha in zip(self.datum.indices, self.datum.simple_root_weights):
-            for b, b2 in self._f[i].items():
-                if b not in self or b2 not in self:
-                    raise ValueError(f"{self.name}: operator {i} touches unknown elements")
-                if self.wt(b2) != self.wt(b) - alpha:
+            for p, q in enumerate(self._f[i]):
+                if q >= 0 and weights[q] != weights[p] - alpha:
                     raise ValueError(
                         f"{self.name}: lowering {i} does not shift the weight by -alpha_{i}")
         # every i-string has a top: a cycle of lowering i would need
         # wt(b) = wt(b) - k alpha_i, which the weight check above refuses
         for i in self.datum.indices:
-            strings = self.string_lengths(i)
-            for b in self.elements:
-                eps, phi = strings[b]
-                if phi - eps != self.datum.pairing(self.wt(b), i):
+            eps_i, phi_i = self._string_arrays(i)
+            for b, w, eps, phi in zip(self.elements, weights, eps_i, phi_i):
+                if phi - eps != self.datum.pairing(w, i):
                     raise ValueError(
                         f"{self.name}: phi - epsilon mismatch at {b!r}, index {i}")
 
@@ -163,8 +209,8 @@ class Crystal:
         """The elements no raising operator reaches: epsilon_i(b) = 0 for all
         i means that b is the image of no lowering operator."""
         raised = [self._raising(i) for i in self.datum.indices]
-        return tuple(b for b in self.elements
-                     if not any(b in emap for emap in raised))
+        return tuple(b for p, b in enumerate(self.elements)
+                     if all(emap[p] < 0 for emap in raised))
 
     def hw_element(self):
         """The unique highest weight element, found once; raises if there
@@ -183,15 +229,16 @@ class Crystal:
     def _reach(self, b, maps) -> list:
         """b and everything reachable from it along `maps`, breadth first,
         each element's images taken in the order of `maps`."""
-        seen = {b}
-        order = [b]
+        start = self.index[b]
+        seen = {start}
+        order = [start]
         for x in order:   # `order` grows while the loop walks it
             for step in maps:
-                y = step.get(x)
-                if y is not None and y not in seen:
+                y = step[x]
+                if y >= 0 and y not in seen:
                     seen.add(y)
                     order.append(y)
-        return order
+        return [self.elements[x] for x in order]
 
     def component_elements(self, b) -> tuple:
         """Elements reachable from b under all operators, in BFS order."""
@@ -220,45 +267,39 @@ def trivial_crystal(datum: RootDatum) -> Crystal:
 # -- tensor products --------------------------------------------------------
 
 def _tensor_rule(factors, conv: Convention, i: int) -> tuple:
-    """The lowering operator f_i of a tensor product, prepared for
-    `_tensor_apply`.
+    """The scan of the signature rule for f_i on a tensor product: the
+    (place, epsilon_i array, phi_i array) of each factor, in reading order.
+
+    Hong-kang reads the factors left to right, opposite reads them right to
+    left.  `_acting_factor` runs the rule on the positions of one element.
+    """
+    places = range(len(factors))
+    if conv is not Convention.HONG_KANG:
+        places = reversed(places)
+    return tuple((k, *factors[k]._string_arrays(i)) for k in places)
+
+
+def _acting_factor(scan, pos) -> int:
+    """The place of the factor that f_i lowers, or -1 when f_i gives 0.
 
     This is the signature rule (Bump-Schilling, *Crystal Bases*, 2017): the
-    factor b contributes epsilon_i(b) signs - followed by phi_i(b) signs +,
-    and each - cancels the nearest uncancelled + to its left.  Lowering acts
-    on the factor of the first uncancelled +.  Hong-kang reads the factors
-    left to right, opposite reads them right to left.  The rule is (scan,
-    lowering): the (position, string lengths) of the factors in reading
-    order, and the lowering map f_i of each factor.  No raising rule is
-    needed: a product raises through its inverted lowering maps, like every
-    other `Crystal`.
+    factor at position p contributes epsilon_i(p) signs - followed by phi_i(p)
+    signs +, and each - cancels the nearest uncancelled + before it in
+    reading order.  Lowering acts on the factor of the first uncancelled +.
+    One pass keeps `acc`, the number of uncancelled signs + so far, and `at`,
+    the place the operator would act on.  `pos` holds one position per factor.
     """
-    positions = range(len(factors))
-    if conv is not Convention.HONG_KANG:
-        positions = reversed(positions)
-    scan = tuple((k, factors[k].string_lengths(i)) for k in positions)
-    return scan, tuple(c._f[i] for c in factors)
-
-
-def _tensor_apply(rule, elem):
-    """Lower a tensor element by a rule of `_tensor_rule`; None encodes 0.
-
-    One pass in reading order keeps `acc`, the number of uncancelled signs
-    + so far, and `at`, the position the operator would act on.
-    """
-    scan, lowering = rule
     acc = 0
     at = -1
-    for k, strings in scan:
-        eps, phi = strings[elem[k]]
-        if eps >= acc:
-            acc = phi
-            at = k if phi else -1
+    for k, eps, phi in scan:
+        p = pos[k]
+        e = eps[p]
+        if e >= acc:
+            acc = phi[p]
+            at = k if acc else -1
         else:
-            acc += phi - eps
-    if at < 0:
-        return None
-    return elem[:at] + (lowering[at][elem[at]],) + elem[at + 1:]
+            acc += phi[p] - e
+    return at
 
 
 def _check_factors(factors):
@@ -272,56 +313,99 @@ def _check_factors(factors):
 
 
 def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
-    """The full tensor product crystal; element ids are tuples of factor ids.
+    """The full tensor product crystal; element ids are tuples of factor ids,
+    in the order of `itertools.product`.
 
     Refuses, before building anything, a product over MAX_CRYSTAL_SIZE.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
     name = "(" + " x ".join(c.name for c in factors) + ")"
-    _refuse_over_limit(math.prod(map(len, factors)), f"the product {name}")
-    elements = list(iterproduct(*[c.elements for c in factors]))
-    lowering = {i: {} for i in datum.indices}
+    size = _refuse_over_limit(math.prod(map(len, factors)), f"the product {name}")
+    # the position of an element is its mixed-radix number over the factors
+    strides = [math.prod(len(c) for c in factors[k + 1:])
+               for k in range(len(factors))]
+    lowering = {}
     for i in datum.indices:
-        rule = _tensor_rule(factors, conv, i)
-        for elem in elements:
-            res = _tensor_apply(rule, elem)
-            if res is not None:
-                lowering[i][elem] = res
+        scan = _tensor_rule(factors, conv, i)
+        maps = [c._f[i] for c in factors]
+        fmap = lowering[i] = array("i", [-1]) * size
+        for code, pos in enumerate(iterproduct(*(range(len(c)) for c in factors))):
+            at = _acting_factor(scan, pos)
+            if at >= 0:
+                fmap[code] = code + (maps[at][pos[at]] - pos[at]) * strides[at]
+    elements = iterproduct(*[c.elements for c in factors])
     return Crystal(datum, elements, None, lowering, name=name, factors=factors)
 
 
-def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
-    """The Cartan component of a tensor product, built lazily.
+def _half(factors, conv: Convention, datum: RootDatum) -> tuple[Crystal, tuple]:
+    """The Cartan component of a product of factors, as a crystal and the
+    label tuple of each of its elements.  A single factor stands for its
+    component, which it contains; an empty product is B(0)."""
+    if len(factors) == 1:
+        (c,) = factors
+        return c, tuple((b,) for b in c.elements)
+    comp = tensor_component(factors, conv) if factors else trivial_crystal(datum)
+    return comp, comp.elements
 
-    The component of the product of highest weight elements is a highest
-    weight crystal, so the lowering operators alone reach all of it from that
-    element, breadth first.  The component stores its elements and lowering
-    maps; weights are sums over the factors and raising maps are inverted on
-    first use, as for every crystal with a factor list.  Only the component is
-    ever materialized, so large ambient products cost nothing.
+
+def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
+    """The Cartan component of a tensor product, built lazily from its halves.
+
+    The tensor product is associative, so the component of F_1 ... F_r lies
+    inside C(F_1 ... F_m) (x) C(F_m+1 ... F_r) with m = r // 2, and there it
+    is the component of the product of the two highest weight elements.  The
+    lowering operators alone reach all of it from that element, breadth
+    first, by the signature rule on two factors; the halves are built the
+    same way (`_half`; for r = 1 the halves are B(0) and the factor).  An
+    element's label is the concatenation of its two half labels, built once,
+    after the search.  Only the components are ever materialized, so large
+    ambient products cost nothing.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
-    rules = [(i, _tensor_rule(factors, conv, i)) for i in datum.indices]
-    seed = tuple(c.hw_element() for c in factors)
-    # `seen` maps each element to the one tuple that `order` and the maps
-    # share; `order` grows while the loop walks it, which makes it a queue
-    seen = {seed: seed}
-    order = [seed]
-    lowering = {i: {} for i in datum.indices}
-    for elem in order:
-        for i, rule in rules:
-            down = _tensor_apply(rule, elem)
-            if down is None:
+    m = len(factors) // 2
+    (left, lparts), (right, rparts) = (_half(factors[:m], conv, datum),
+                                       _half(factors[m:], conv, datum))
+    halves = (left, right)
+    # per index: the rule's scan, the halves' lowering maps, and the
+    # component's lowering map, which grows by one slot per element searched
+    rules = [(_tensor_rule(halves, conv, i), left._f[i], right._f[i], array("i"))
+             for i in datum.indices]
+    width = len(right)
+    # the component's elements as position pairs (lpos[k], rpos[k]), in
+    # breadth-first order; `seen` maps a pair's code p * width + q to the
+    # element's position, -1 while it is unseen.  Its |left| * |right| slots
+    # are at most the size of the full product of the factors.
+    lpos = array("i", [left.index[left.hw_element()]])
+    rpos = array("i", [right.index[right.hw_element()]])
+    seen = array("i", [-1]) * (len(left) * width)
+    seen[lpos[0] * width + rpos[0]] = 0
+    for pos in zip(lpos, rpos):   # the zip walks both arrays while they grow
+        for scan, lf, rf, fmap in rules:
+            at = _acting_factor(scan, pos)
+            if at < 0:
+                fmap.append(-1)
                 continue
-            kept = seen.setdefault(down, down)
-            if kept is down:
-                order.append(down)
-            lowering[i][elem] = kept
-    del seen  # not needed by the crystal, which builds its own index
+            p, q = pos
+            if at:
+                q = rf[q]
+            else:
+                p = lf[p]
+            code = p * width + q
+            t = seen[code]
+            if t < 0:
+                t = seen[code] = len(lpos)
+                lpos.append(p)
+                rpos.append(q)
+            fmap.append(t)
+    del seen   # freed before the labels are built
+    elements = [lparts[p] + rparts[q] for p, q in zip(lpos, rpos)]
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
-    return Crystal(datum, order, None, lowering, name=name, factors=factors)
+    lowering = {i: rule[3] for i, rule in zip(datum.indices, rules)}
+    comp = Crystal(datum, elements, None, lowering, name=name, factors=factors)
+    comp._hw = comp.elements[0]   # the search started from it
+    return comp
 
 
 # -- Weyl group action -------------------------------------------------------
@@ -358,49 +442,68 @@ def extremal_element(crystal: Crystal, w):
 def canonical_isomorphism(c1: Crystal, c2: Crystal) -> dict:
     """The unique crystal isomorphism between connected crystals.
 
-    Propagates from highest weight elements along lowering edges; raises if
-    the crystals are not isomorphic.
+    Propagates from highest weight elements along lowering edges, on
+    positions; raises if the crystals are not isomorphic.
     """
     h1, h2 = c1.hw_element(), c2.hw_element()
     if c1.wt(h1) != c2.wt(h2):
         raise ValueError(f"highest weights differ: {c1.name} vs {c2.name}")
     if len(c1) != len(c2):
         raise ValueError(f"sizes differ: {c1.name} vs {c2.name}")
-    mapping = {h1: h2}
-    queue = deque([h1])
-    while queue:
-        x = queue.popleft()
-        y = mapping[x]
-        for i in c1.datum.indices:
-            x2, y2 = c1.f(i, x), c2.f(i, y)
-            if (x2 is None) != (y2 is None):
+    maps = [(c1._f[i], c2._f[i]) for i in c1.datum.indices]
+    image = array("i", [-1]) * len(c1)
+    start = c1.index[h1]
+    image[start] = c2.index[h2]
+    order = [start]
+    for x in order:   # `order` grows while the loop walks it
+        y = image[x]
+        for f1, f2 in maps:
+            x2, y2 = f1[x], f2[y]
+            if (x2 < 0) != (y2 < 0):
                 raise ValueError(f"{c1.name} and {c2.name} are not isomorphic")
-            if x2 is None:
+            if x2 < 0:
                 continue
-            if x2 in mapping:
-                if mapping[x2] != y2:
-                    raise ValueError(f"{c1.name} and {c2.name} are not isomorphic")
-            else:
-                mapping[x2] = y2
-                queue.append(x2)
-    if len(mapping) != len(c1):
+            if image[x2] < 0:
+                image[x2] = y2
+                order.append(x2)
+            elif image[x2] != y2:
+                raise ValueError(f"{c1.name} and {c2.name} are not isomorphic")
+    if len(order) != len(c1):
         raise ValueError(f"{c1.name} is not connected")
-    return mapping
+    e1, e2 = c1.elements, c2.elements
+    return {e1[x]: e2[image[x]] for x in order}
 
 
 def cartan_braiding(c1: Crystal, c2: Crystal,
-                    convention=Convention.HONG_KANG) -> dict:
-    """The braiding c1 (x) c2 -> c2 (x) c1 as a pair table; None encodes 0.
+                    convention=Convention.HONG_KANG) -> array:
+    """The braiding c1 (x) c2 -> c2 (x) c1 as one flat table on positions.
 
     It is the canonical isomorphism between the Cartan components of the two
-    products and zero on every other element.
+    products and zero on every other element.  With n1 = |c1| and n2 = |c2|,
+    slot x * n2 + y (x (x) y at positions x in c1 and y in c2, the position
+    of the pair in the full product) holds y' * n1 + x' for the image
+    y' (x) x', or -1 for 0.  `braiding_at` reads it at a pair of labels.
     """
     conv = as_convention(convention)
-    p12 = tensor((c1, c2), conv)  # only the table's keys, in product order
+    p12 = tensor((c1, c2), conv)  # its positions number the table's slots
     comp12 = tensor_component((c1, c2), conv)
     comp21 = tensor_component((c2, c1), conv)
-    iso = canonical_isomorphism(comp12, comp21)
-    return {pair: iso.get(pair) for pair in p12.elements}
+    n1 = len(c1)
+    table = array("i", [-1]) * len(p12)
+    for pair, (y, x) in canonical_isomorphism(comp12, comp21).items():
+        table[p12.index[pair]] = c2.index[y] * n1 + c1.index[x]
+    return table
+
+
+def braiding_at(c1: Crystal, c2: Crystal, table, pair):
+    """A table of `cartan_braiding(c1, c2)` read at the labels (x, y) of an
+    element of c1 (x) c2: the pair (y', x') of c2 (x) c1, or None for 0."""
+    x, y = pair
+    t = table[c1.index[x] * len(c2) + c2.index[y]]
+    if t < 0:
+        return None
+    y2, x2 = divmod(t, len(c1))
+    return c2.elements[y2], c1.elements[x2]
 
 
 # -- fundamental crystals ------------------------------------------------------
@@ -578,7 +681,7 @@ class CrystalContext:
         self._fund: dict[int, Crystal] = {}
         self._components: dict[tuple, Crystal] = {}
         self._fund_indices: dict[tuple, tuple[int, ...]] = {}
-        self._braidings: dict[tuple, dict] = {}
+        self._braidings: dict[tuple, array] = {}
         self._chains: dict[tuple, tuple] = {}
 
     def fundamental(self, i: int) -> Crystal:
@@ -645,8 +748,9 @@ class CrystalContext:
     def rho_crystal(self) -> Crystal:
         return self.weight_crystal(self.rho)
 
-    def braiding(self, i: int, j: int) -> dict:
-        """Braiding table between fundamental crystals i and j.
+    def braiding(self, i: int, j: int) -> array:
+        """The flat braiding table of `cartan_braiding` between fundamental
+        crystals i and j: |B(w_i)| * |B(w_j)| slots on positions.
 
         Refuses, before building either fundamental, a product whose size is
         known to be over MAX_CRYSTAL_SIZE.

@@ -2,18 +2,38 @@
 
 Elements of highest weight crystals are flat tuples in a product of
 fundamental crystals, so every computation below reduces to the cached
-pairwise braiding tables between fundamentals.  A positional braid word is
-built once per factor list as a plan (`braid_plan`) and applied to elements
-by `apply_plan`; the n chains of a factor list are such plans too, cached
-in the context per factor list, and `chain_ends` runs them all in one pass.
-The chains are the only route here; the tests keep the inclusion
-B(lam) -> B(lam - mu) (x) B(mu) as an independent second route to the same
-right ends.
+pairwise braiding tables between fundamentals: flat arrays over the
+positions of the two factors (`CrystalContext.braiding`).  A positional braid
+word is built once per factor list as a plan (`braid_plan`) and applied to
+elements by `apply_plan`, which turns labels into positions once, walks the
+tables (`braid_positions`) and turns the positions back.  The n chains of a
+factor list are such plans too, cached in the context per factor list; a
+chain moves one factor rightwards, so `chain_ends` walks only that factor
+across the tables, for every chain in one pass.  The chains are the only
+route here; the tests keep the inclusion B(lam) -> B(lam - mu) (x) B(mu) as
+an independent second route to the same right ends.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .crystal import CrystalContext
+
+
+class BraidPlan(NamedTuple):
+    """A positional braid word on a factor list, ready to apply to elements.
+
+    `index` holds per slot the label -> position map of the fundamental
+    standing there at the start, `labels` per slot the elements of the one
+    standing there at the end.  A step (pos, table, n_j, n_i) braids the
+    slots pos and pos + 1, holding B(w_i) and B(w_j), with the flat table of
+    (i, j); n_j and n_i are the sizes of the two fundamentals.
+    """
+
+    index: tuple
+    steps: tuple
+    labels: tuple
 
 
 def _chain_plans(ctx: CrystalContext, funds: tuple) -> tuple:
@@ -43,13 +63,20 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
 
     None at the first chain that gives 0, which happens exactly when elem lies
     outside the Cartan component of the product of the factors `funds`.
+    Chain k moves factor k past the original factors k+1..n, so only the
+    moving factor's position is carried from table to table.
     """
+    plans = _chain_plans(ctx, funds)
+    pos = [index[b] for index, b in zip(plans[0].index, elem)]
     ends = []
-    for plan in _chain_plans(ctx, funds):
-        moved = apply_plan(plan, elem)
-        if moved is None:
-            return None
-        ends.append(moved[-1])
+    for k, plan in enumerate(plans):
+        x = pos[k]
+        for p, table, nj, ni in plan.steps:
+            t = table[x * nj + pos[p + 1]]
+            if t < 0:
+                return None
+            x = t % ni
+        ends.append(plan.labels[-1][x])
     return tuple(ends)
 
 
@@ -70,8 +97,8 @@ def sorting_word(funds) -> tuple[int, ...]:
     return tuple(word)
 
 
-def braid_plan(ctx: CrystalContext, funds, positions) -> tuple:
-    """The steps (pos, table) of a positional braid word on a factor list.
+def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
+    """The plan of a positional braid word on a factor list.
 
     The letter pos (0-based) braids the factors at pos and pos + 1 with the
     fundamental table of the indices standing there when the letter is read.
@@ -79,23 +106,39 @@ def braid_plan(ctx: CrystalContext, funds, positions) -> tuple:
     applied to every element by `apply_plan`.
     """
     funds = list(funds)
+    crystals = [ctx.fundamental(i) for i in funds]
+    index = tuple(c.index for c in crystals)
     steps = []
     for pos in positions:
         i, j = funds[pos], funds[pos + 1]
-        steps.append((pos, ctx.braiding(i, j)))
+        steps.append((pos, ctx.braiding(i, j), len(crystals[pos + 1]),
+                      len(crystals[pos])))
         funds[pos], funds[pos + 1] = j, i
-    return tuple(steps)
+        crystals[pos], crystals[pos + 1] = crystals[pos + 1], crystals[pos]
+    return BraidPlan(index, tuple(steps), tuple(c.elements for c in crystals))
 
 
-def apply_plan(plan, elem):
+def braid_positions(plan: BraidPlan, pos: list) -> bool:
+    """Apply the steps of a braid plan in place to a list of positions, one
+    per slot; False as soon as one gives 0."""
+    for p, table, nj, ni in plan.steps:
+        t = table[pos[p] * nj + pos[p + 1]]
+        if t < 0:
+            return False
+        pos[p] = t // ni
+        pos[p + 1] = t % ni
+    return True
+
+
+def apply_plan(plan: BraidPlan, elem):
     """Apply the steps of a braid plan to an element; None as soon as one gives 0."""
-    elem = list(elem)
-    for pos, table in plan:
-        out = table[(elem[pos], elem[pos + 1])]
-        if out is None:
-            return None
-        elem[pos], elem[pos + 1] = out
-    return tuple(elem)
+    pos = [index[b] for index, b in zip(plan.index, elem)]
+    if not braid_positions(plan, pos):
+        return None
+    # from a list, not an iterator: `tuple` sizes an iterator's result by a
+    # guess and resizes it, and the resized blocks pile up in the tuple free
+    # lists (about 1 MB more at the peak of the A2 (2,2) axioms suite)
+    return tuple([labels[x] for labels, x in zip(plan.labels, pos)])
 
 
 def right_end_chain(ctx: CrystalContext, funds: tuple, elem, k: int):

@@ -77,8 +77,10 @@ class SkewTableau:
     """A semistandard filling of a skew shape outer/inner."""
 
     def __init__(self, outer, inner, cells):
-        outer = tuple(int(x) for x in outer)
-        inner = tuple(int(x) for x in inner)
+        """outer and inner are refused with ValueError unless every part is
+        an int (bool, float and string are refused, not coerced)."""
+        outer, inner = int_rows([tuple(outer), tuple(inner)],
+                                "skew shape parts must be integers")
         while outer and outer[-1] == 0:
             outer = outer[:-1]
         if any(inner[len(outer):]):
@@ -145,7 +147,8 @@ class SkewTableau:
 
     @classmethod
     def from_rows(cls, rows) -> "SkewTableau":
-        """Rows top first; None marks inner-shape holes at the start of a row."""
+        """Rows top first; None marks inner-shape holes at the start of a row,
+        and every other entry must be an int (ValueError otherwise)."""
         outer, inner, cells = [], [], {}
         for r, row in enumerate(rows):
             holes = 0
@@ -155,8 +158,9 @@ class SkewTableau:
                 raise ValueError("holes must be leading")
             outer.append(len(row))
             inner.append(holes)
-            for c in range(holes, len(row)):
-                cells[(r, c)] = int(row[c])
+            entries = int_rows([row[holes:]], "tableau entries must be integers")[0]
+            for c, v in enumerate(entries, holes):
+                cells[(r, c)] = v
         return cls(outer, inner, cells)
 
     def rows_with_holes(self) -> list[list]:

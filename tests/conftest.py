@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from crystalgraphs import (Convention, CrystalContext, KGraph, Weight, WeylGroup,
-                           builtin_datum, canonical_isomorphism, tensor_component)
+from crystalgraphs import (Convention, Crystal, CrystalContext, KGraph, Weight,
+                           WeylGroup, builtin_datum, canonical_isomorphism,
+                           tensor_component)
+from crystalgraphs.crystal import _acting_factor, _tensor_rule
 from crystalgraphs.rightends import apply_plan, braid_plan, sorting_word
 
 
@@ -91,6 +93,16 @@ def ref_phi_eps(factors, conv, elem, i):
     return phi, eps
 
 
+def rule_lower(factors, conv, elem, i):
+    """f_i on a tensor element by the signature-rule primitive on positions,
+    the one that `tensor` and `tensor_component` run; None encodes 0."""
+    pos = tuple(c.index[b] for c, b in zip(factors, elem))
+    at = _acting_factor(_tensor_rule(factors, conv, i), pos)
+    if at < 0:
+        return None
+    return elem[:at] + (factors[at].f(i, elem[at]),) + elem[at + 1:]
+
+
 def ref_apply(factors, conv, elem, i, lower):
     """A Kashiwara operator on (prefix) (x) (last factor), recursively: the
     two-factor rule folded left-associatively."""
@@ -113,13 +125,37 @@ def ref_apply(factors, conv, elem, i, lower):
 
 
 # -- component and right-end references: the breadth-first component of the --
-# -- full product, and right ends through the inclusion ----------------------
+# -- full product or over whole factor lists, and right ends through the -----
+# -- inclusion ---------------------------------------------------------------
 
 def ref_component(product) -> tuple:
     """The Cartan component of a full tensor product, breadth first over all
     operators from the product of highest weight elements."""
     return product.component_elements(
         tuple(c.hw_element() for c in product.factors))
+
+
+def ref_tensor_component(factors, conv) -> Crystal:
+    """The Cartan component breadth first over whole r-factor elements, each
+    f_i by the signature rule over all r factors (`rule_lower`), from the
+    product of highest weight elements: the search that `tensor_component`
+    replaces by one over the components of its two halves."""
+    factors = tuple(factors)
+    datum = factors[0].datum
+    seed = tuple(c.hw_element() for c in factors)
+    seen = {seed}
+    order = [seed]
+    lowering = {i: {} for i in datum.indices}
+    for elem in order:   # `order` grows while the loop walks it
+        for i in datum.indices:
+            down = rule_lower(factors, conv, elem, i)
+            if down is None:
+                continue
+            if down not in seen:
+                seen.add(down)
+                order.append(down)
+            lowering[i][elem] = down
+    return Crystal(datum, order, None, lowering, name="ref", factors=factors)
 
 
 def ref_right_end_inclusion(ctx, crystal, b, mu):

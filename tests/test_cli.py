@@ -142,6 +142,15 @@ def test_a5_skeleton_pinned(capsys):
 
 
 @pytest.mark.slow
+def test_a5_skeleton_opposite_pinned(capsys):
+    code, out, _ = run(capsys, "skeleton", "--algebra", "A5", "--convention",
+                       "opposite", "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0b776d837a3b72ed3dc75c84bf604ca22fb9862fdd73817423a48221d057989d")
+
+
+@pytest.mark.slow
 def test_a5_right_ends_pinned_on_both_routes(capsys):
     code, chains, _ = run(capsys, "rightends", "--algebra", "A5", "--format", "json")
     assert code == 0

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGroup,
-                           build_fundamental, builtin_datum,
+                           braiding_at, build_fundamental, builtin_datum,
                            canonical_isomorphism,
                            cartan_braiding,
                            crystal_from_dict, crystal_from_file,
                            extremal_element, from_crystal, load_datum, tensor,
                            tensor_component, trivial_crystal, weyl_action)
-from crystalgraphs.crystal import _tensor_apply, _tensor_rule
 
 from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_component,
-                      ref_phi_eps, walk_epsilon, walk_phi)
+                      ref_phi_eps, ref_tensor_component, rule_lower,
+                      walk_epsilon, walk_phi)
 
 
 ORACLE_CONTEXTS = {(name, conv): CrystalContext(builtin_datum(name), conv)
@@ -207,9 +207,8 @@ def test_signature_rule_matches_reference_fold():
                 factors = tuple(ctx.fundamental(i) for i in funds)
                 P = tensor(factors, conv)
                 for i in ctx.datum.indices:
-                    rule = _tensor_rule(factors, conv, i)
                     for elem in product(*(c.elements for c in factors)):
-                        assert (_tensor_apply(rule, elem)
+                        assert (rule_lower(factors, conv, elem, i)
                                 == ref_apply(factors, conv, elem, i, True)), \
                             (name, conv.value, funds, elem, i, "lower")
                         assert (P.e(i, elem)
@@ -226,13 +225,12 @@ def test_signature_rule_matches_reference_fold_random(data):
     factors = tuple(ctx.fundamental(i) for i in funds)
     elem = tuple(data.draw(st.sampled_from(c.elements)) for c in factors)
     i = data.draw(st.sampled_from(indices))
-    rule = _tensor_rule(factors, ctx.convention, i)
-    assert (_tensor_apply(rule, elem)
+    assert (rule_lower(factors, ctx.convention, elem, i)
             == ref_apply(factors, ctx.convention, elem, i, True))
     # raising: the rule lowers the reference's e_i b back to b
     up = ref_apply(factors, ctx.convention, elem, i, False)
     if up is not None:
-        assert _tensor_apply(rule, up) == elem
+        assert rule_lower(factors, ctx.convention, up, i) == elem
 
 
 def test_weyl_action_examples(a2):
@@ -347,6 +345,47 @@ def test_tensor_component_matches_full_product_component():
             assert crystal.wt(b) == Weight(content), (name, b)
 
 
+def _assert_same_component(built, ref, case):
+    """Same elements in the same order, and the same lowering maps."""
+    assert len(built) == len(ref), case
+    assert built.elements == ref.elements, case
+    for i in built.datum.indices:
+        assert built._f[i] == ref._f[i], (case, i)
+
+
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+def test_halves_builder_matches_r_factor_search(convention):
+    # every B(lam) up to the acceptance bounds, B(rho) of A4, and a product of
+    # two non-fundamental components like the ones the lemmas suite braids
+    for name, bound in (("A2", (2, 2)), ("C2", (2, 2)), ("A3", (1, 1, 1))):
+        ctx = CrystalContext(builtin_datum(name), convention)
+        for lam in product(*(range(k + 1) for k in bound)):
+            funds = ctx.fundamental_indices(lam)
+            if funds:
+                factors = [ctx.fundamental(i) for i in funds]
+                _assert_same_component(
+                    tensor_component(factors, convention),
+                    ref_tensor_component(factors, convention), (name, lam))
+        pair = (ctx.weight_crystal((1,) * ctx.datum.rank),
+                ctx.weight_crystal((0,) * (ctx.datum.rank - 1) + (1,)))
+        _assert_same_component(tensor_component(pair, convention),
+                               ref_tensor_component(pair, convention),
+                               (name, "B(rho) x B(w_r)"))
+    ctx = CrystalContext(builtin_datum("A4"), convention)
+    factors = [ctx.fundamental(i) for i in ctx.datum.indices]
+    _assert_same_component(tensor_component(factors, convention),
+                           ref_tensor_component(factors, convention), "A4 rho")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+def test_halves_builder_matches_r_factor_search_a5(convention):
+    ctx = CrystalContext(builtin_datum("A5"), convention)
+    factors = [ctx.fundamental(i) for i in ctx.datum.indices]
+    _assert_same_component(tensor_component(factors, convention),
+                           ref_tensor_component(factors, convention), "A5 rho")
+
+
 def test_weyl_dimension_matches_built_sizes():
     for name, bound in (("A2", (2, 2)), ("C2", (2, 2)), ("A3", (1, 1, 1))):
         ctx = CrystalContext(builtin_datum(name))
@@ -413,11 +452,15 @@ def test_canonical_isomorphism(a2):
 
 
 def test_braiding_values(a2, c2_opp):
+    w1, w2 = a2.fundamental(1), a2.fundamental(2)
     t = a2.braiding(1, 2)
-    assert t[(A2_, B2_)] == (B3_, A1_)
-    assert t[(A1_, B3_)] is None
+    assert braiding_at(w1, w2, t, (A2_, B2_)) == (B3_, A1_)
+    assert braiding_at(w1, w2, t, (A1_, B3_)) is None
+    # the flat slots: x * n2 + y holds y' * n1 + x', -1 for 0
+    assert t[1 * 3 + 1] == 2 * 3 + 0 and t[0 * 3 + 2] == -1
     t2 = c2_opp.braiding(1, 2)
-    assert t2[("a2", "b3")] == ("b1", "a4")
+    assert braiding_at(c2_opp.fundamental(1), c2_opp.fundamental(2), t2,
+                       ("a2", "b3")) == ("b1", "a4")
 
 
 def test_braiding_general_equals_fundamental_table(a2):

@@ -320,13 +320,13 @@ def test_product_tables_match_tuple_route(monkeypatch, name, conv):
     import crystalgraphs.kgraph
     from crystalgraphs.kgraph import UNSET
     plans_run = [0]
-    apply_plan = crystalgraphs.kgraph.apply_plan
+    braid_positions = crystalgraphs.kgraph.braid_positions
 
-    def counted(plan, elem):
+    def counted(plan, pos):
         plans_run[0] += 1
-        return apply_plan(plan, elem)
+        return braid_positions(plan, pos)
 
-    monkeypatch.setattr(crystalgraphs.kgraph, "apply_plan", counted)
+    monkeypatch.setattr(crystalgraphs.kgraph, "braid_positions", counted)
     ctx = CrystalContext(builtin_datum(name), conv)
     kg = KGraph(ctx)
     degrees = kg.degrees_up_to(PRODUCT_BOUNDS[name])

@@ -1,6 +1,6 @@
 import pytest
 
-from crystalgraphs import (Convention, CrystalContext, apply_chain,
+from crystalgraphs import (Convention, CrystalContext, apply_chain, braiding_at,
                            builtin_datum, extremal_element, in_cartan_component,
                            right_end_chain, right_end_tuple, tensor)
 from crystalgraphs.rightends import chain_ends
@@ -24,7 +24,9 @@ def _chain_step_by_step(ctx, funds, elem, k):
     """apply_chain one braiding at a time, each table fetched when read."""
     funds, elem = list(funds), list(elem)
     for pos in range(k - 1, len(elem) - 1):
-        out = ctx.braiding(funds[pos], funds[pos + 1])[(elem[pos], elem[pos + 1])]
+        i, j = funds[pos], funds[pos + 1]
+        out = braiding_at(ctx.fundamental(i), ctx.fundamental(j), ctx.braiding(i, j),
+                          (elem[pos], elem[pos + 1]))
         if out is None:
             return None
         elem[pos], elem[pos + 1] = out

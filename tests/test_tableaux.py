@@ -1,11 +1,11 @@
 import pytest
 
 from crystalgraphs import (CrystalContext, SkewTableau, Tableau, braid_columns,
-                           builtin_datum, enumerate_ssyt, from_crystal, is_key,
-                           left_key, right_ends_via_slides, right_key, tensor)
-from crystalgraphs.crystal import _tensor_apply, _tensor_rule
+                           braiding_at, builtin_datum, enumerate_ssyt,
+                           from_crystal, is_key, left_key,
+                           right_ends_via_slides, right_key, tensor)
 
-from conftest import A1_, A2_, A3_, B1_, B2_, B3_, ref_apply
+from conftest import A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, rule_lower
 
 
 def to_crystal(tab):
@@ -129,6 +129,17 @@ def test_skew_refuses_an_inner_shape_that_leaves_the_outer_shape():
         assert (t.outer, t.inner) == ((2,), (1,))
 
 
+def test_skew_refuses_non_integer_shapes_and_entries():
+    # int() would read the shape (2.7,)/(0.5,) as (2) and the entries 1.9 and
+    # True as 1
+    with pytest.raises(ValueError, match="skew shape parts must be integers"):
+        SkewTableau((2.7,), (0.5,), {(0, 0): 1, (0, 1): 2})
+    for rows in ([[1.9, 2]], [[True, 2]]):
+        with pytest.raises(ValueError, match="tableau entries must be integers"):
+            SkewTableau.from_rows(rows)
+    assert SkewTableau.from_rows([[None, 1], [2]]).cells == {(0, 1): 1, (1, 0): 2}
+
+
 def test_rectify_straight_is_identity():
     t = SkewTableau.from_rows([[1, 2], [2]])
     assert t.rectify() == Tableau([[1, 2], [2]])
@@ -156,7 +167,8 @@ def test_braid_columns_equals_crystal_braiding(a2, a3):
                 table = ctx.braiding(i, j)
                 ci, cj = ctx.fundamental(i), ctx.fundamental(j)
                 for x, y in product(ci.elements, cj.elements):
-                    assert braid_columns(x, y) == table[(x, y)], (i, j, x, y)
+                    want = braiding_at(ci, cj, table, (x, y))
+                    assert braid_columns(x, y) == want, (i, j, x, y)
 
 
 def test_braid_columns_shares_tuples(a3):
@@ -272,7 +284,7 @@ def _apply_reading_op(ctx, skew, i, lower):
     word = column_reading(skew)
     factors = (ctx.fundamental(1),) * len(word)
     if lower:
-        res = _tensor_apply(_tensor_rule(factors, ctx.convention, i), word)
+        res = rule_lower(factors, ctx.convention, word, i)
     else:
         res = ref_apply(factors, ctx.convention, word, i, False)
     if res is None:
