@@ -349,15 +349,18 @@ def _half(factors, conv: Convention, datum: RootDatum) -> tuple[Crystal, tuple]:
     return comp, comp.elements
 
 
-def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
+def tensor_component(factors, convention=Convention.HONG_KANG,
+                     halves=None) -> Crystal:
     """The Cartan component of a tensor product, built lazily from its halves.
 
     The tensor product is associative, so the component of F_1 ... F_r lies
     inside C(F_1 ... F_m) (x) C(F_m+1 ... F_r) with m = r // 2, and there it
     is the component of the product of the two highest weight elements.  The
     lowering operators alone reach all of it from that element, breadth
-    first, by the signature rule on two factors; the halves are built the
-    same way (`_half`; for r = 1 the halves are B(0) and the factor).  An
+    first, by the signature rule on two factors.  The halves are `halves`
+    when given (the components of the two factor lists, as
+    `CrystalContext.cartan_of` holds them) and are built the same way
+    otherwise (`_half`; for r = 1 the halves are B(0) and the factor).  An
     element's label is the concatenation of its two half labels, built once,
     after the search.  Only the components are ever materialized, so large
     ambient products cost nothing.
@@ -365,9 +368,13 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
     m = len(factors) // 2
-    (left, lparts), (right, rparts) = (_half(factors[:m], conv, datum),
-                                       _half(factors[m:], conv, datum))
-    halves = (left, right)
+    if halves is None:
+        (left, lparts), (right, rparts) = (_half(factors[:m], conv, datum),
+                                           _half(factors[m:], conv, datum))
+        halves = (left, right)
+    else:
+        left, right = halves
+        lparts, rparts = left.elements, right.elements
     # per index: the rule's scan, the halves' lowering maps, and the
     # component's lowering map, which grows by one slot per element searched
     rules = [(_tensor_rule(halves, conv, i), left._f[i], right._f[i], array("i"))
@@ -375,12 +382,10 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
     width = len(right)
     # the component's elements as position pairs (lpos[k], rpos[k]), in
     # breadth-first order; `seen` maps a pair's code p * width + q to the
-    # element's position, -1 while it is unseen.  Its |left| * |right| slots
-    # are at most the size of the full product of the factors.
+    # element's position, so it grows with the component, not the product
     lpos = array("i", [left.index[left.hw_element()]])
     rpos = array("i", [right.index[right.hw_element()]])
-    seen = array("i", [-1]) * (len(left) * width)
-    seen[lpos[0] * width + rpos[0]] = 0
+    seen = {lpos[0] * width + rpos[0]: 0}
     for pos in zip(lpos, rpos):   # the zip walks both arrays while they grow
         for scan, lf, rf, fmap in rules:
             at = _acting_factor(scan, pos)
@@ -393,8 +398,8 @@ def tensor_component(factors, convention=Convention.HONG_KANG) -> Crystal:
             else:
                 p = lf[p]
             code = p * width + q
-            t = seen[code]
-            if t < 0:
+            t = seen.get(code)
+            if t is None:
                 t = seen[code] = len(lpos)
                 lpos.append(p)
                 rpos.append(q)
@@ -722,15 +727,23 @@ class CrystalContext:
         return funds
 
     def cartan_of(self, funds: tuple[int, ...]) -> Crystal:
-        """The Cartan component of a product of fundamentals, built lazily."""
+        """The Cartan component of a product of fundamentals, built lazily
+        from the components of the two halves of `funds`, which it holds too."""
         funds = tuple(funds)
-        if funds not in self._components:
+        comp = self._components.get(funds)
+        if comp is None:
+            factors = [self.fundamental(i) for i in funds]
             if not funds:
-                self._components[funds] = trivial_crystal(self.datum)
+                comp = trivial_crystal(self.datum)
+            elif len(funds) == 1:
+                comp = tensor_component(factors, self.convention)
             else:
-                self._components[funds] = tensor_component(
-                    [self.fundamental(i) for i in funds], self.convention)
-        return self._components[funds]
+                # the halves of a sorted list are sorted lists: held here
+                m = len(funds) // 2
+                comp = tensor_component(factors, self.convention, (
+                    self.cartan_of(funds[:m]), self.cartan_of(funds[m:])))
+            self._components[funds] = comp
+        return comp
 
     def weight_crystal(self, lam) -> Crystal:
         """B(lam), realized inside the sorted product of fundamentals.

@@ -11,15 +11,13 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import product as iterproduct
-from operator import mul
 from typing import NamedTuple
 
 from .crystal import (Crystal, CrystalContext, check_crystal_size,
                       extremal_element, tensor_component)
 from .graphs import ColoredDigraph, Edge
-from .rightends import (BraidPlan, braid_plan, braid_positions,
-                        in_cartan_component, right_end_chain, right_end_tuple,
-                        sorting_word)
+from .rightends import (apply_plan, braid_plan, in_cartan_component,
+                        right_end_chain, right_end_tuple, sorting_word)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -35,30 +33,17 @@ class KPath(NamedTuple):
 UNSET, OFF = -1, -2
 
 
-class TargetCodes(NamedTuple):
-    """The elements of a realization B(lam) by their code: the mixed-radix
-    number of their positions in their fundamental factors, with the place
-    values `strides`; `index` maps a code to the element's position."""
-
-    strides: tuple
-    index: dict
-
-
 class ProductTable(NamedTuple):
     """The products of B(deg1) with B(deg2): the braid plan that sorts their
-    factor lists, the three realizations, the factor positions of the left
-    and right elements, the target's codes, the summed degree, and one slot
-    per element pair, in rows by the left element: UNSET until computed, OFF
+    factor lists, the three realizations, the summed degree, and one slot per
+    element pair, in rows by the left element: UNSET until computed, OFF
     when the product left the Cartan component, else its position in
     `target`."""
 
-    plan: BraidPlan
+    plan: tuple
     left: Crystal
     right: Crystal
     target: Crystal
-    left_pos: tuple
-    right_pos: tuple
-    target_codes: TargetCodes
     degree: tuple[int, ...]
     width: int      # |right|, the length of a row of slots
     slots: array
@@ -94,8 +79,6 @@ class KGraph:
         self._paths: dict[tuple, tuple[KPath, ...]] = {}
         self._ranges: dict[tuple, dict[tuple, list]] = {}
         self._products: dict[tuple, ProductTable] = {}
-        self._factor_positions: dict[tuple, tuple] = {}
-        self._target_codes: dict[tuple, TargetCodes] = {}
         self._skeleton: ColoredDigraph | None = None
 
     # -- vertices -----------------------------------------------------------
@@ -220,36 +203,6 @@ class KGraph:
 
     # -- composition ----------------------------------------------------------
 
-    def _positions_of(self, degree: tuple) -> tuple:
-        """The elements of B(degree) as tuples of positions in their
-        fundamental factors, in element order; built once per degree."""
-        tuples = self._factor_positions.get(degree)
-        if tuples is None:
-            crystal = self.ctx.weight_crystal(degree)
-            indexes = [c.index for c in crystal.factors]
-            tuples = self._factor_positions[degree] = tuple(
-                [tuple([index[x] for index, x in zip(indexes, b)])
-                 for b in crystal.elements])
-        return tuples
-
-    def _codes_of(self, degree: tuple) -> TargetCodes:
-        """The codes of the elements of B(degree), built once per degree.  An
-        int code per element, not a tuple, keeps the map small for the large
-        targets that only products reach."""
-        entry = self._target_codes.get(degree)
-        if entry is None:
-            crystal = self.ctx.weight_crystal(degree)
-            strides, place = [], 1
-            for c in reversed(crystal.factors):
-                strides.append(place)
-                place *= len(c)
-            strides.reverse()
-            terms = [(c.index, s) for c, s in zip(crystal.factors, strides)]
-            entry = self._target_codes[degree] = TargetCodes(tuple(strides), {
-                sum([index[x] * s for (index, s), x in zip(terms, b)]): k
-                for k, b in enumerate(crystal.elements)})
-        return entry
-
     def _product_table(self, deg1: tuple, deg2: tuple) -> ProductTable:
         """The products of B(deg1) with B(deg2), one slot per element pair.
 
@@ -270,25 +223,22 @@ class KGraph:
             code = "h" if len(target) < 32767 else "i"
             entry = self._products[key] = ProductTable(
                 braid_plan(ctx, funds, sorting_word(funds)), left, right,
-                target, self._positions_of(deg1), self._positions_of(deg2),
-                self._codes_of(degree), degree, len(right), array(code, [UNSET]) * (len(left) * len(right)))
+                target, degree, len(right),
+                array(code, [UNSET]) * (len(left) * len(right)))
         return entry
 
     def _product(self, entry: ProductTable, i1: int, i2: int) -> int:
         """The position in entry.target of the product of elements i1 of
         entry.left and i2 of entry.right; raises if it left the Cartan
-        component.  Each slot runs the plan at most once, on the factor
-        positions of the two elements, so no label is converted."""
+        component.  Each slot runs the plan at most once."""
         k = i1 * entry.width + i2
         t = entry.slots[k]
         if t < 0:
             if t == UNSET:
-                pos = [*entry.left_pos[i1], *entry.right_pos[i2]]
-                t = OFF
-                if braid_positions(entry.plan, pos):
-                    codes = entry.target_codes
-                    t = codes.index.get(sum(map(mul, pos, codes.strides)), OFF)
-                entry.slots[k] = t
+                elem = apply_plan(entry.plan, entry.left.elements[i1]
+                                  + entry.right.elements[i2])
+                pos = None if elem is None else entry.target.position(elem)
+                t = entry.slots[k] = OFF if pos is None else pos
             if t == OFF:
                 raise RuntimeError(
                     f"{entry.left.elements[i1]!r} (x) {entry.right.elements[i2]!r} "

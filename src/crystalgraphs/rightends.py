@@ -6,7 +6,7 @@ pairwise braiding tables between fundamentals: flat arrays over the
 positions of the two factors (`CrystalContext.braiding`).  A positional braid
 word is built once per factor list as a plan (`braid_plan`) and applied to
 elements by `apply_plan`, which turns labels into positions once, walks the
-tables (`braid_positions`) and turns the positions back.  The n chains of a
+tables on positions and turns the positions back.  The n chains of a
 factor list are such plans too, cached in the context per factor list; a
 chain moves one factor rightwards, so `chain_ends` walks only that factor
 across the tables, for every chain in one pass.  The chains are the only
@@ -118,23 +118,19 @@ def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
     return BraidPlan(index, tuple(steps), tuple(c.elements for c in crystals))
 
 
-def braid_positions(plan: BraidPlan, pos: list) -> bool:
-    """Apply the steps of a braid plan in place to a list of positions, one
-    per slot; False as soon as one gives 0."""
+def apply_plan(plan: BraidPlan, elem):
+    """Apply the steps of a braid plan to an element; None as soon as one gives 0.
+
+    The labels are turned into positions once, the steps walk the tables on
+    positions, and the positions are turned back at the end.
+    """
+    pos = [index[b] for index, b in zip(plan.index, elem)]
     for p, table, nj, ni in plan.steps:
         t = table[pos[p] * nj + pos[p + 1]]
         if t < 0:
-            return False
+            return None
         pos[p] = t // ni
         pos[p + 1] = t % ni
-    return True
-
-
-def apply_plan(plan: BraidPlan, elem):
-    """Apply the steps of a braid plan to an element; None as soon as one gives 0."""
-    pos = [index[b] for index, b in zip(plan.index, elem)]
-    if not braid_positions(plan, pos):
-        return None
     # from a list, not an iterator: `tuple` sizes an iterator's result by a
     # guess and resizes it, and the resized blocks pile up in the tuple free
     # lists (about 1 MB more at the peak of the A2 (2,2) axioms suite)

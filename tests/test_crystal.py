@@ -363,9 +363,11 @@ def test_halves_builder_matches_r_factor_search(convention):
             funds = ctx.fundamental_indices(lam)
             if funds:
                 factors = [ctx.fundamental(i) for i in funds]
-                _assert_same_component(
-                    tensor_component(factors, convention),
-                    ref_tensor_component(factors, convention), (name, lam))
+                ref = ref_tensor_component(factors, convention)
+                _assert_same_component(tensor_component(factors, convention),
+                                       ref, (name, lam))
+                # the context's route, on the halves it holds
+                _assert_same_component(ctx.weight_crystal(lam), ref, (name, lam))
         pair = (ctx.weight_crystal((1,) * ctx.datum.rank),
                 ctx.weight_crystal((0,) * (ctx.datum.rank - 1) + (1,)))
         _assert_same_component(tensor_component(pair, convention),
@@ -384,6 +386,41 @@ def test_halves_builder_matches_r_factor_search_a5(convention):
     factors = [ctx.fundamental(i) for i in ctx.datum.indices]
     _assert_same_component(tensor_component(factors, convention),
                            ref_tensor_component(factors, convention), "A5 rho")
+
+
+def test_cartan_of_builds_each_component_once(monkeypatch):
+    # every component of 2 or more factors takes its halves from the context
+    import crystalgraphs.crystal
+    built = []
+    real = crystalgraphs.crystal.tensor_component
+
+    def counted(factors, *args, **kwargs):
+        built.append(tuple(c.name for c in factors))
+        return real(factors, *args, **kwargs)
+
+    monkeypatch.setattr(crystalgraphs.crystal, "tensor_component", counted)
+    ctx = CrystalContext(builtin_datum("A2"))
+    for lam in product(range(3), range(3)):
+        ctx.weight_crystal(lam)
+    ctx.rho_crystal()
+    assert len(built) == len(set(built)) == len(ctx._components) - 1  # not B(0)
+    assert ("B(w1)", "B(w1)") in built and ("B(w2)", "B(w2)") in built
+
+
+def test_long_single_index_weight_needs_memory_of_its_size():
+    # B(160 w1) of A2 has 13,041 elements and its halves B(80 w1) 3,321 each:
+    # a search table over the pairs of the halves would hold 11 million slots
+    import tracemalloc
+    ctx = CrystalContext(builtin_datum("A2"))
+    tracemalloc.start()
+    try:
+        crystal = ctx.weight_crystal((160, 0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(crystal) == 13041 == ctx.datum.dimension(Weight((160, 0)))
+    assert crystal.hw_element() == ((1,),) * 160
+    assert peak < 1.5 * held, (held, peak)
 
 
 def test_weyl_dimension_matches_built_sizes():

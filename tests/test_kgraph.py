@@ -320,13 +320,13 @@ def test_product_tables_match_tuple_route(monkeypatch, name, conv):
     import crystalgraphs.kgraph
     from crystalgraphs.kgraph import UNSET
     plans_run = [0]
-    braid_positions = crystalgraphs.kgraph.braid_positions
+    apply_plan = crystalgraphs.kgraph.apply_plan
 
-    def counted(plan, pos):
+    def counted(plan, elem):
         plans_run[0] += 1
-        return braid_positions(plan, pos)
+        return apply_plan(plan, elem)
 
-    monkeypatch.setattr(crystalgraphs.kgraph, "braid_positions", counted)
+    monkeypatch.setattr(crystalgraphs.kgraph, "apply_plan", counted)
     ctx = CrystalContext(builtin_datum(name), conv)
     kg = KGraph(ctx)
     degrees = kg.degrees_up_to(PRODUCT_BOUNDS[name])
