@@ -5,8 +5,8 @@ fundamental crystals, so every computation below reduces to the cached
 pairwise braiding tables between fundamentals: flat arrays over the
 positions of the two factors (`CrystalContext.braiding`).  A positional braid
 word is built once per factor list as a plan (`braid_plan`) and applied to
-elements by `apply_plan`, which turns labels into positions once, walks the
-tables on positions and turns the positions back.  The n chains of a
+elements by `apply_plan`, which reads each table at the positions of the two
+labels it braids.  The n chains of a
 factor list are such plans too, cached in the context per factor list; a
 chain moves one factor rightwards, so `chain_ends` walks only that factor
 across the tables, for every chain in one pass.  The chains are the only
@@ -26,9 +26,11 @@ class BraidPlan(NamedTuple):
 
     `index` holds per slot the label -> position map of the fundamental
     standing there at the start, `labels` per slot the elements of the one
-    standing there at the end.  A step (pos, table, n_j, n_i) braids the
-    slots pos and pos + 1, holding B(w_i) and B(w_j), with the flat table of
-    (i, j); n_j and n_i are the sizes of the two fundamentals.
+    standing there at the end.  A step (pos, table, n_j, n_i, index_i,
+    index_j, labels_j, labels_i) braids the slots pos and pos + 1, holding
+    B(w_i) and B(w_j), with the flat table of (i, j); n_j and n_i are the
+    sizes of the two fundamentals, index_* their label -> position maps and
+    labels_* their elements.
     """
 
     index: tuple
@@ -71,7 +73,7 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
     ends = []
     for k, plan in enumerate(plans):
         x = pos[k]
-        for p, table, nj, ni in plan.steps:
+        for p, table, nj, ni, _, _, _, _ in plan.steps:
             t = table[x * nj + pos[p + 1]]
             if t < 0:
                 return None
@@ -111,8 +113,9 @@ def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
     steps = []
     for pos in positions:
         i, j = funds[pos], funds[pos + 1]
-        steps.append((pos, ctx.braiding(i, j), len(crystals[pos + 1]),
-                      len(crystals[pos])))
+        ci, cj = crystals[pos], crystals[pos + 1]
+        steps.append((pos, ctx.braiding(i, j), len(cj), len(ci), ci.index,
+                      cj.index, cj.elements, ci.elements))
         funds[pos], funds[pos + 1] = j, i
         crystals[pos], crystals[pos + 1] = crystals[pos + 1], crystals[pos]
     return BraidPlan(index, tuple(steps), tuple(c.elements for c in crystals))
@@ -121,20 +124,17 @@ def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
 def apply_plan(plan: BraidPlan, elem):
     """Apply the steps of a braid plan to an element; None as soon as one gives 0.
 
-    The labels are turned into positions once, the steps walk the tables on
-    positions, and the positions are turned back at the end.
+    Each step reads its table at the positions of the two labels it braids,
+    so a plan of few steps on a long element converts few labels.
     """
-    pos = [index[b] for index, b in zip(plan.index, elem)]
-    for p, table, nj, ni in plan.steps:
-        t = table[pos[p] * nj + pos[p + 1]]
+    elem = list(elem)
+    for p, table, nj, ni, index_i, index_j, labels_j, labels_i in plan.steps:
+        t = table[index_i[elem[p]] * nj + index_j[elem[p + 1]]]
         if t < 0:
             return None
-        pos[p] = t // ni
-        pos[p + 1] = t % ni
-    # from a list, not an iterator: `tuple` sizes an iterator's result by a
-    # guess and resizes it, and the resized blocks pile up in the tuple free
-    # lists (about 1 MB more at the peak of the A2 (2,2) axioms suite)
-    return tuple([labels[x] for labels, x in zip(plan.labels, pos)])
+        elem[p] = labels_j[t // ni]
+        elem[p + 1] = labels_i[t % ni]
+    return tuple(elem)
 
 
 def right_end_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
