@@ -6,12 +6,12 @@ pairwise braiding tables between fundamentals: flat arrays over the
 positions of the two factors (`CrystalContext.braiding`).  A positional braid
 word is built once per factor list as a plan (`braid_plan`) and applied to
 elements by `apply_plan`, which reads each table at the positions of the two
-labels it braids.  The n chains of a
-factor list are such plans too, cached in the context per factor list; a
-chain moves one factor rightwards, so `chain_ends` walks only that factor
-across the tables, for every chain in one pass.  The chains are the only
-route here; the tests keep the inclusion B(lam) -> B(lam - mu) (x) B(mu) as
-an independent second route to the same right ends.
+labels it braids.  The n chains of a factor list are such plans too, cached
+in the context per factor list; a chain moves one factor rightwards, so
+`chain_ends` walks only that factor across the tables, for every chain in
+one pass.  The chains are the only route here; the tests keep the inclusion
+B(lam) -> B(lam - mu) (x) B(mu) as an independent second route to the same
+right ends.
 """
 
 from __future__ import annotations
