@@ -676,8 +676,9 @@ class CrystalContext:
     fundamental crystals, connected realizations of highest weight crystals
     (as components of products of fundamentals, indices sorted increasingly),
     the fundamental indices of each weight, the pairwise braiding tables
-    between fundamental crystals, and the chain plans of each factor list
-    that `rightends.chain_ends` runs, one tuple per factor list.
+    between fundamental crystals, and the chains of each factor list that
+    `rightends.apply_chain` and `rightends.chain_ends` run, one
+    `rightends.Chains` per factor list.
     """
 
     def __init__(self, datum: RootDatum, convention=Convention.HONG_KANG):
@@ -687,7 +688,7 @@ class CrystalContext:
         self._components: dict[tuple, Crystal] = {}
         self._fund_indices: dict[tuple, tuple[int, ...]] = {}
         self._braidings: dict[tuple, array] = {}
-        self._chains: dict[tuple, tuple] = {}
+        self._chains: dict[tuple, object] = {}
 
     def fundamental(self, i: int) -> Crystal:
         if i not in self._fund:

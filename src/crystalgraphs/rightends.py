@@ -16,37 +16,42 @@ right ends.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import NamedTuple
 
 from .crystal import CrystalContext
 
 
-class BraidPlan(NamedTuple):
-    """A positional braid word on a factor list, ready to apply to elements.
+class Chains(NamedTuple):
+    """The chains k = 1..n of a factor list, built once per context.
 
-    `index` holds per slot the label -> position map of the fundamental
-    standing there at the start, `labels` per slot the elements of the one
-    standing there at the end.  A step (pos, table, n_j, n_i, index_i,
-    index_j, labels_j, labels_i) braids the slots pos and pos + 1, holding
-    B(w_i) and B(w_j), with the flat table of (i, j); n_j and n_i are the
-    sizes of the two fundamentals, index_* their label -> position maps and
-    labels_* their elements.
+    Chain k moves factor k (1-based) rightmost; chain n has no step.
+    `plans` holds the braid plan of each chain, for `apply_chain`.  For
+    `chain_ends`, `index` holds the label -> position map of each factor and
+    `walks` per chain the crossings (slot, table, n_j, n_i) of the moving
+    factor B(w_i) past the factor B(w_j) in that slot, and the moving
+    factor's elements.
     """
 
+    plans: tuple
     index: tuple
-    steps: tuple
-    labels: tuple
+    walks: tuple
 
 
-def _chain_plans(ctx: CrystalContext, funds: tuple) -> tuple:
-    """The plans of the chains k = 1..n on a factor list, built once per
-    context; chain k moves factor k (1-based) rightmost, chain n has no step."""
-    plans = ctx._chains.get(funds)
-    if plans is None:
+def _chains(ctx: CrystalContext, funds: tuple) -> Chains:
+    """The chains of a factor list, cached in the context per factor list."""
+    chains = ctx._chains.get(funds)
+    if chains is None:
         n = len(funds)
-        plans = ctx._chains[funds] = tuple(
-            braid_plan(ctx, funds, range(k - 1, n - 1)) for k in range(1, n + 1))
-    return plans
+        plans = tuple(braid_plan(ctx, funds, range(k - 1, n - 1))
+                      for k in range(1, n + 1))
+        walks = tuple(
+            (tuple((p + 1, table, nj, ni) for p, table, nj, ni, *_ in plan),
+             ctx.fundamental(i).elements)
+            for plan, i in zip(plans, funds))
+        chains = ctx._chains[funds] = Chains(
+            plans, tuple(ctx.fundamental(i).index for i in funds), walks)
+    return chains
 
 
 def apply_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
@@ -54,7 +59,7 @@ def apply_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
 
     Returns the moved element, or None as soon as a braiding gives 0.
     """
-    plans = _chain_plans(ctx, funds)
+    plans = _chains(ctx, funds).plans
     if not 1 <= k <= len(plans):
         raise IndexError(f"chain start {k} outside 1..{len(plans)}")
     return apply_plan(plans[k - 1], elem)
@@ -68,17 +73,16 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
     Chain k moves factor k past the original factors k+1..n, so only the
     moving factor's position is carried from table to table.
     """
-    plans = _chain_plans(ctx, funds)
-    pos = [index[b] for index, b in zip(plans[0].index, elem)]
+    chains = _chains(ctx, funds)
+    pos = list(map(getitem, chains.index, elem))
     ends = []
-    for k, plan in enumerate(plans):
-        x = pos[k]
-        for p, table, nj, ni, _, _, _, _ in plan.steps:
-            t = table[x * nj + pos[p + 1]]
+    for x, (crossings, labels) in zip(pos, chains.walks):
+        for q, table, nj, ni in crossings:
+            t = table[x * nj + pos[q]]
             if t < 0:
                 return None
             x = t % ni
-        ends.append(plan.labels[-1][x])
+        ends.append(labels[x])
     return tuple(ends)
 
 
@@ -99,17 +103,19 @@ def sorting_word(funds) -> tuple[int, ...]:
     return tuple(word)
 
 
-def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
-    """The plan of a positional braid word on a factor list.
+def braid_plan(ctx: CrystalContext, funds, positions) -> tuple:
+    """The steps of a positional braid word on a factor list.
 
     The letter pos (0-based) braids the factors at pos and pos + 1 with the
     fundamental table of the indices standing there when the letter is read.
+    Its step (pos, table, n_j, n_i, index_i, index_j, labels_j, labels_i)
+    holds the flat table of (i, j), the sizes of B(w_j) and B(w_i), their
+    label -> position maps and their elements.
     A plan depends on the factor list only, so it can be built once and
     applied to every element by `apply_plan`.
     """
     funds = list(funds)
     crystals = [ctx.fundamental(i) for i in funds]
-    index = tuple(c.index for c in crystals)
     steps = []
     for pos in positions:
         i, j = funds[pos], funds[pos + 1]
@@ -118,17 +124,17 @@ def braid_plan(ctx: CrystalContext, funds, positions) -> BraidPlan:
                       cj.index, cj.elements, ci.elements))
         funds[pos], funds[pos + 1] = j, i
         crystals[pos], crystals[pos + 1] = crystals[pos + 1], crystals[pos]
-    return BraidPlan(index, tuple(steps), tuple(c.elements for c in crystals))
+    return tuple(steps)
 
 
-def apply_plan(plan: BraidPlan, elem):
+def apply_plan(plan, elem):
     """Apply the steps of a braid plan to an element; None as soon as one gives 0.
 
     Each step reads its table at the positions of the two labels it braids,
     so a plan of few steps on a long element converts few labels.
     """
     elem = list(elem)
-    for p, table, nj, ni, index_i, index_j, labels_j, labels_i in plan.steps:
+    for p, table, nj, ni, index_i, index_j, labels_j, labels_i in plan:
         t = table[index_i[elem[p]] * nj + index_j[elem[p + 1]]]
         if t < 0:
             return None
