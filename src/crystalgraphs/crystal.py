@@ -177,12 +177,6 @@ class Crystal:
             arrays = self._strings[i] = (eps, phi)
         return arrays
 
-    def string_lengths(self, i: int) -> dict:
-        """(epsilon_i(b), phi_i(b)) for every element b, read off the
-        arrays of `_string_arrays`."""
-        eps, phi = self._string_arrays(i)
-        return {b: (e, p) for b, e, p in zip(self.elements, eps, phi)}
-
     def validate(self) -> None:
         r = self.datum.rank
         weights = [self.wt(b) for b in self.elements]
@@ -702,14 +696,17 @@ class CrystalContext:
         self._fund[i] = crystal
 
     def weight(self, coords) -> Weight:
-        """coords as a Weight; ValueError unless every coordinate is an int
-        (bool, float and string are refused, not coerced)."""
-        if isinstance(coords, Weight):
-            return coords
-        coords = tuple(coords)
-        if not all(type(c) is int for c in coords):
-            raise ValueError(f"weight coordinates must be integers, got {coords!r}")
-        return Weight(coords)
+        """coords as a Weight; ValueError unless it has one int coordinate per
+        index (bool, float and string are refused, not coerced)."""
+        if not isinstance(coords, Weight):
+            coords = tuple(coords)
+            if not all(type(c) is int for c in coords):
+                raise ValueError(f"weight coordinates must be integers, got {coords!r}")
+            coords = Weight(coords)
+        if len(coords.coords) != (rank := self.datum.rank):
+            raise ValueError(f"rank {rank} weights have {rank} coordinates, "
+                             f"got {coords.coords!r}")
+        return coords
 
     @property
     def rho(self) -> Weight:

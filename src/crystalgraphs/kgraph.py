@@ -184,12 +184,11 @@ class KGraph:
 
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized, and recorded for
-        every path that `paths_of_degree` finds."""
+        every path that `paths_of_degree` finds; ValueError if `is_path` refuses p."""
         if p not in self._sources:
-            row = self._row(self.ctx.weight(p.degree), p.element)
-            if row is None or not all(x in ends for x, ends in zip(p.vertex, row)):
+            if not self.is_path(*p):
                 raise ValueError(f"{p} is not a valid path")
-            self._record_source(p, row)
+            self._record_source(p, self._row(self.ctx.weight(p.degree), p.element))
         return self._sources[p]
 
     def _record_source(self, p: KPath, row: tuple[dict, ...]) -> None:
@@ -246,7 +245,8 @@ class KGraph:
         return t
 
     def compose(self, p: KPath, q: KPath) -> KPath:
-        """(p, q) -> (range p, projection of b_p (x) b_q); needs s(p) = r(q)."""
+        """(p, q) -> (range p, projection of b_p (x) b_q); needs s(p) = r(q),
+        and q need only be an element of B(deg q) at s(p), a path or not."""
         if self.source(p) != q.vertex:
             raise ValueError("paths are not composable: source(p) != range(q)")
         entry = self._product_table(p.degree, q.degree)

@@ -9,9 +9,10 @@ elements by `apply_plan`, which reads each table at the positions of the two
 labels it braids.  The n chains of a factor list are such plans too, cached
 in the context per factor list; a chain moves one factor rightwards, so
 `chain_ends` walks only that factor across the tables, for every chain in
-one pass.  The chains are the only route here; the tests keep the inclusion
-B(lam) -> B(lam - mu) (x) B(mu) as an independent second route to the same
-right ends.
+one pass.  Both runners refuse an element whose length is not that of its
+factor list, so every caller shares their check.  The chains are the only
+route here; the tests keep the inclusion B(lam) -> B(lam - mu) (x) B(mu) as
+an independent second route to the same right ends.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def apply_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
 
     Returns the moved element, or None as soon as a braiding gives 0.
     """
+    if len(elem) != len(funds):
+        raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
     plans = _chains(ctx, funds).plans
     if not 1 <= k <= len(plans):
         raise IndexError(f"chain start {k} outside 1..{len(plans)}")
@@ -73,6 +76,8 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
     Chain k moves factor k past the original factors k+1..n, so only the
     moving factor's position is carried from table to table.
     """
+    if len(elem) != len(funds):
+        raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
     chains = _chains(ctx, funds)
     pos = list(map(getitem, chains.index, elem))
     ends = []
@@ -159,10 +164,7 @@ def right_end_tuple(ctx: CrystalContext, elem) -> tuple:
 
     The chains that give the ends also decide membership (`chain_ends`).
     """
-    funds = tuple(ctx.datum.indices)
-    if len(elem) != len(funds):
-        raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
-    ends = chain_ends(ctx, funds, elem)
+    ends = chain_ends(ctx, tuple(ctx.datum.indices), elem)
     if ends is None:
         raise ValueError(f"{elem!r} is outside the Cartan component")
     return ends

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -481,6 +482,76 @@ def test_non_elements_are_not_paths(a2_kg):
             a2_kg.path(v, b, omega1)
     # a non-element leaves no row behind, and the valid path still works
     assert a2_kg.source(a2_kg.path(v, (A1_,), omega1)) == wv(a2_kg)
+
+
+# the tuples of fundamental elements that are not vertices, times every
+# element of every degree up to (1, ..., 1)
+SOURCE_SWEEP = {"A2": (Convention.HONG_KANG, 45), "C2": (Convention.OPPOSITE, 260),
+                "A3": (Convention.HONG_KANG, 9648)}
+
+
+@pytest.mark.parametrize("name", SOURCE_SWEEP)
+def test_source_refuses_every_non_vertex(name):
+    # the end row of b can hold every v_i of a tuple that is not a vertex, so
+    # only the vertex check of `is_path` refuses such a tuple
+    conv, cases = SOURCE_SWEEP[name]
+    ctx = CrystalContext(builtin_datum(name), conv)
+    kg = KGraph(ctx)
+    vertices = set(kg.vertices())
+    swept = 0
+    for v in product(*(ctx.fundamental(i).elements for i in ctx.datum.indices)):
+        if v in vertices:
+            continue
+        for d in kg.degrees_up_to((1,) * ctx.datum.rank):
+            for b in ctx.weight_crystal(d).elements:
+                with pytest.raises(ValueError, match="is not a valid path"):
+                    kg.source(KPath(v, b, d))
+                swept += 1
+    assert swept == cases
+    assert not kg._sources
+
+
+@pytest.mark.parametrize("degree", [(1, 0, 5), (1,)], ids=str)
+def test_paths_refuse_degrees_of_the_wrong_rank(a2_kg, degree):
+    v = wv(a2_kg, 1)
+    assert a2_kg.is_path(v, (A1_,), (1, 0))
+    for call in (a2_kg.is_path, a2_kg.path):
+        with pytest.raises(ValueError, match="rank 2 weights have 2 coordinates"):
+            call(v, (A1_,), degree)
+    with pytest.raises(ValueError, match="rank 2 weights have 2 coordinates"):
+        a2_kg.source(KPath(v, (A1_,), degree))
+    with pytest.raises(ValueError, match="rank 2 weights have 2 coordinates"):
+        a2_kg.paths_of_degree(degree)
+
+
+# ROADMAP item 2: `_row` tests x (x) b for membership before it reads chain 1.
+# Chains 2..n of x (x) b are the chains of b, which never give 0 for b in
+# B(lam), so chain 1 alone decides; the entries are the same under both
+# conventions, and so is the number of them in the Cartan component
+ROW_ORACLE_BOUNDS = {"A2": ((2, 2), (504, 300)), "C2": ((2, 2), (1854, 865)),
+                     "A3": ((1, 1, 1), (1876, 1093)), "A4": ((1, 0, 0, 1), (1050, 768))}
+
+
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in ROW_ORACLE_BOUNDS
+                                       for conv in Convention])
+def test_row_membership_is_decided_by_chain_one(name, conv):
+    from crystalgraphs import in_cartan_component, right_end_chain
+    ctx = CrystalContext(builtin_datum(name), conv)
+    bound, counts = ROW_ORACLE_BOUNDS[name]
+    checked = members = 0
+    for lam in product(*(range(k + 1) for k in bound)):
+        lam_funds = ctx.fundamental_indices(lam)
+        for b in ctx.weight_crystal(lam).elements:
+            for i in ctx.datum.indices:
+                funds = (i,) + lam_funds
+                for x in ctx.fundamental(i).elements:
+                    elem = (x,) + b
+                    member = in_cartan_component(ctx, funds, elem)
+                    assert member == (right_end_chain(ctx, funds, elem, 1)
+                                      is not None), (lam, i, x, b)
+                    checked += 1
+                    members += member
+    assert (checked, members) == counts
 
 
 def test_weyl_vertex_map_is_built_once(a2):

@@ -65,6 +65,19 @@ def test_right_end_tuple_examples(a2):
         right_end_tuple(a2, (A1_, B3_))
 
 
+@pytest.mark.parametrize("elem", [(A1_, B1_, B3_), (A1_,)], ids=["long", "short"])
+def test_chain_runners_refuse_elements_of_another_length(a2, elem):
+    # every chain entry point answers as right_end_tuple does
+    for run in (lambda: in_cartan_component(a2, (1, 2), elem),
+                lambda: chain_ends(a2, (1, 2), elem),
+                lambda: apply_chain(a2, (1, 2), elem, 1),
+                lambda: apply_chain(a2, (1, 2), elem, 2),
+                lambda: right_end_chain(a2, (1, 2), elem, 1),
+                lambda: right_end_tuple(a2, elem)):
+        with pytest.raises(ValueError, match="expected a 2-factor element"):
+            run()
+
+
 def test_right_end_inclusion_examples(a2):
     rho = a2.rho_crystal()
     omega1 = a2.datum.fundamental_weight(1)
