@@ -6,9 +6,10 @@ arrays; zero is -1 there and None at the label API, never a sentinel element.
 Raising maps and string lengths are built per index on first use.  Only a
 crystal given weights (fundamentals, data files) stores them; a tensor product
 or component sums its factors' weights.  Tensor products support both
-bracketing conventions behind a single flag: their lowering operators follow
-the signature rule, one primitive on positions (`_acting_factor`).  A Cartan
-component is built from the components of its two halves, and a braiding
+bracketing conventions behind a single flag: the lowering operators of a
+full product follow the signature rule over all its factors, one primitive on
+positions (`_acting_factor`).  A Cartan component is built from its two
+halves by the two-factor rule, applied inline in its search, and a braiding
 table is one flat array over the positions of its two factors.
 """
 
@@ -332,13 +333,18 @@ def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
     return Crystal(datum, elements, None, lowering, name=name, factors=factors)
 
 
+def _single(c: Crystal) -> tuple[Crystal, tuple]:
+    """A single factor as a half: it stands for its component, which it
+    contains, and labels its elements by one-tuples."""
+    return c, tuple((b,) for b in c.elements)
+
+
 def _half(factors, conv: Convention, datum: RootDatum) -> tuple[Crystal, tuple]:
     """The Cartan component of a product of factors, as a crystal and the
     label tuple of each of its elements.  A single factor stands for its
-    component, which it contains; an empty product is B(0)."""
+    component (`_single`); an empty product is B(0)."""
     if len(factors) == 1:
-        (c,) = factors
-        return c, tuple((b,) for b in c.elements)
+        return _single(factors[0])
     comp = tensor_component(factors, conv) if factors else trivial_crystal(datum)
     return comp, comp.elements
 
@@ -351,58 +357,63 @@ def tensor_component(factors, convention=Convention.HONG_KANG,
     inside C(F_1 ... F_m) (x) C(F_m+1 ... F_r) with m = r // 2, and there it
     is the component of the product of the two highest weight elements.  The
     lowering operators alone reach all of it from that element, breadth
-    first, by the signature rule on two factors.  The halves are `halves`
-    when given (the components of the two factor lists, as
-    `CrystalContext.cartan_of` holds them) and are built the same way
-    otherwise (`_half`; for r = 1 the halves are B(0) and the factor).  An
-    element's label is the concatenation of its two half labels, built once,
-    after the search.  Only the components are ever materialized, so large
-    ambient products cost nothing.
+    first, by the signature rule on two factors, applied inline: f_i acts on
+    the factor read first (the left one under hong-kang, the right one under
+    opposite) when its phi_i exceeds the other factor's epsilon_i, else on
+    the other factor when that one's phi_i is positive, else it gives 0.
+    The halves are `halves` when given, as (crystal, labels) pairs (the
+    components of the two factor lists, or a single factor itself, as
+    `CrystalContext.cartan_of` hands them over), and are built the same way
+    otherwise (`_half`; for r = 1 the halves are B(0) and the factor).  The
+    search never reads how a half numbers its elements, so the element order
+    does not depend on it.  An element's label is the concatenation of its
+    two half labels, built once, after the search.  Only the components are
+    ever materialized, so large ambient products cost nothing.
     """
     factors, datum = _check_factors(factors)
     conv = as_convention(convention)
-    m = len(factors) // 2
     if halves is None:
-        (left, lparts), (right, rparts) = (_half(factors[:m], conv, datum),
-                                           _half(factors[m:], conv, datum))
-        halves = (left, right)
-    else:
-        left, right = halves
-        lparts, rparts = left.elements, right.elements
-    # per index: the rule's scan, the halves' lowering maps, and the
-    # component's lowering map, which grows by one slot per element searched
-    rules = [(_tensor_rule(halves, conv, i), left._f[i], right._f[i], array("i"))
+        m = len(factors) // 2
+        halves = (_half(factors[:m], conv, datum), _half(factors[m:], conv, datum))
+    (left, lparts), (right, rparts) = halves
+    in_order = conv is Convention.HONG_KANG   # the left half is read first
+    first, second = (left, right) if in_order else (right, left)
+    # per index: phi_i of the factor read first, epsilon_i and phi_i of the
+    # other, the two lowering maps, and the component's lowering map, which
+    # grows by one slot per element searched
+    maps = {i: array("i") for i in datum.indices}
+    rules = [(first._string_arrays(i)[1], *second._string_arrays(i),
+              first._f[i], second._f[i], maps[i].append)
              for i in datum.indices]
-    width = len(right)
-    # the component's elements as position pairs (lpos[k], rpos[k]), in
-    # breadth-first order; `seen` maps a pair's code p * width + q to the
-    # element's position, so it grows with the component, not the product
-    lpos = array("i", [left.index[left.hw_element()]])
-    rpos = array("i", [right.index[right.hw_element()]])
-    seen = {lpos[0] * width + rpos[0]: 0}
-    for pos in zip(lpos, rpos):   # the zip walks both arrays while they grow
-        for scan, lf, rf, fmap in rules:
-            at = _acting_factor(scan, pos)
-            if at < 0:
-                fmap.append(-1)
-                continue
-            p, q = pos
-            if at:
-                q = rf[q]
+    width = len(second)
+    # the component's elements as position pairs (apos[k], bpos[k]) in the
+    # factors read first and second, in breadth-first order; `seen` maps a
+    # pair's code a * width + b to the element's position, so it grows with
+    # the component, not the product
+    apos = array("i", [first.index[first.hw_element()]])
+    bpos = array("i", [second.index[second.hw_element()]])
+    seen = {apos[0] * width + bpos[0]: 0}
+    n = 1
+    for a, b in zip(apos, bpos):   # the zip walks both arrays while they grow
+        for phi1, eps2, phi2, f1, f2, put in rules:
+            if phi1[a] > eps2[b]:
+                a2, b2 = f1[a], b
+            elif phi2[b]:
+                a2, b2 = a, f2[b]
             else:
-                p = lf[p]
-            code = p * width + q
-            t = seen.get(code)
-            if t is None:
-                t = seen[code] = len(lpos)
-                lpos.append(p)
-                rpos.append(q)
-            fmap.append(t)
+                put(-1)
+                continue
+            t = seen.setdefault(a2 * width + b2, n)
+            if t == n:
+                n += 1
+                apos.append(a2)
+                bpos.append(b2)
+            put(t)
     del seen   # freed before the labels are built
+    lpos, rpos = (apos, bpos) if in_order else (bpos, apos)
     elements = [lparts[p] + rparts[q] for p, q in zip(lpos, rpos)]
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
-    lowering = {i: rule[3] for i, rule in zip(datum.indices, rules)}
-    comp = Crystal(datum, elements, None, lowering, name=name, factors=factors)
+    comp = Crystal(datum, elements, None, maps, name=name, factors=factors)
     comp._hw = comp.elements[0]   # the search started from it
     return comp
 
@@ -670,9 +681,10 @@ class CrystalContext:
     fundamental crystals, connected realizations of highest weight crystals
     (as components of products of fundamentals, indices sorted increasingly),
     the fundamental indices of each weight, the pairwise braiding tables
-    between fundamental crystals, and the chains of each factor list that
+    between fundamental crystals, the chains of each factor list that
     `rightends.apply_chain` and `rightends.chain_ends` run, one
-    `rightends.Chains` per factor list.
+    `rightends.Chains` per factor list, and the move list that
+    `rightends.chain_ends` reads for each braiding table.
     """
 
     def __init__(self, datum: RootDatum, convention=Convention.HONG_KANG):
@@ -683,6 +695,9 @@ class CrystalContext:
         self._fund_indices: dict[tuple, tuple[int, ...]] = {}
         self._braidings: dict[tuple, array] = {}
         self._chains: dict[tuple, object] = {}
+        self._moves: dict[tuple, list] = {}
+        # the factor list of B(rho), one fundamental per index
+        self.rho_indices = tuple(datum.indices)
 
     def fundamental(self, i: int) -> Crystal:
         if i not in self._fund:
@@ -726,7 +741,8 @@ class CrystalContext:
 
     def cartan_of(self, funds: tuple[int, ...]) -> Crystal:
         """The Cartan component of a product of fundamentals, built lazily
-        from the components of the two halves of `funds`, which it holds too."""
+        from the two halves of `funds`: a half of two or more factors is a
+        component it holds too, a single factor the fundamental itself."""
         funds = tuple(funds)
         comp = self._components.get(funds)
         if comp is None:
@@ -736,12 +752,19 @@ class CrystalContext:
             elif len(funds) == 1:
                 comp = tensor_component(factors, self.convention)
             else:
-                # the halves of a sorted list are sorted lists: held here
                 m = len(funds) // 2
                 comp = tensor_component(factors, self.convention, (
-                    self.cartan_of(funds[:m]), self.cartan_of(funds[m:])))
+                    self._half(funds[:m]), self._half(funds[m:])))
             self._components[funds] = comp
         return comp
+
+    def _half(self, funds: tuple[int, ...]) -> tuple[Crystal, tuple]:
+        """A nonempty half of a factor list as a (crystal, labels) pair; the
+        halves of a sorted list are sorted lists, held in the context."""
+        if len(funds) == 1:
+            return _single(self.fundamental(funds[0]))
+        comp = self.cartan_of(funds)
+        return comp, comp.elements
 
     def weight_crystal(self, lam) -> Crystal:
         """B(lam), realized inside the sorted product of fundamentals.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import product as iterproduct
+from operator import contains, getitem
 from typing import NamedTuple
 
 from .crystal import (Crystal, CrystalContext, check_crystal_size,
@@ -171,7 +172,7 @@ class KGraph:
         if v not in self._vertex:
             return False
         row = self._row(lam, tuple(element))
-        return row is not None and all(x in ends for x, ends in zip(v, row))
+        return row is not None and all(map(contains, row, v))
 
     def path(self, v: tuple, element: tuple, degree) -> KPath:
         lam = self.ctx.weight(degree)
@@ -194,7 +195,7 @@ class KGraph:
     def _record_source(self, p: KPath, row: tuple[dict, ...]) -> None:
         """Store the source of the path p, read off its element's end row, as
         the vertex object the k-graph holds."""
-        v = tuple(ends[x] for x, ends in zip(p.vertex, row))
+        v = tuple(map(getitem, row, p.vertex))
         vertex = self._vertex.get(v)
         if vertex is None:
             raise RuntimeError(f"source {v!r} of {p} is not a vertex")

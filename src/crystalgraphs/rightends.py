@@ -9,8 +9,10 @@ elements by `apply_plan`, which reads each table at the positions of the two
 labels it braids.  The n chains of a factor list are such plans too, cached
 in the context per factor list; a chain moves one factor rightwards, so
 `chain_ends` walks only that factor across the tables, for every chain in
-one pass.  Both runners refuse an element whose length is not that of its
-factor list, so every caller shares their check.  The chains are the only
+one pass, on one move list per table that holds the moving factor's new
+position alone (`_moves`).  Both runners refuse an element whose length is
+not that of its factor list, or with a label outside its factor, so every
+caller shares their checks.  The chains are the only
 route here; the tests keep the inclusion B(lam) -> B(lam - mu) (x) B(mu) as
 an independent second route to the same right ends.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 from operator import getitem
 from typing import NamedTuple
 
-from .crystal import CrystalContext
+from .crystal import CrystalContext, _is_listed
 
 
 class Chains(NamedTuple):
@@ -29,14 +31,26 @@ class Chains(NamedTuple):
     Chain k moves factor k (1-based) rightmost; chain n has no step.
     `plans` holds the braid plan of each chain, for `apply_chain`.  For
     `chain_ends`, `index` holds the label -> position map of each factor and
-    `walks` per chain the crossings (slot, table, n_j, n_i) of the moving
-    factor B(w_i) past the factor B(w_j) in that slot, and the moving
-    factor's elements.
+    `walks` per chain the crossings (slot, moves, n_j) of the moving factor
+    B(w_i) past the factor B(w_j) in that slot, with `moves` the move list
+    of (i, j) (`_moves`), and the moving factor's elements.
     """
 
     plans: tuple
     index: tuple
     walks: tuple
+
+
+def _moves(ctx: CrystalContext, i: int, j: int) -> list:
+    """The move list of the braiding table (i, j), cached in the context:
+    slot x * n_j + y holds the position x' of B(w_i)'s factor in the image
+    y' (x) x' of x (x) y, or -1 for 0."""
+    moves = ctx._moves.get((i, j))
+    if moves is None:
+        ni = len(ctx.fundamental(i))
+        moves = ctx._moves[(i, j)] = [t % ni if t >= 0 else -1
+                                      for t in ctx.braiding(i, j)]
+    return moves
 
 
 def _chains(ctx: CrystalContext, funds: tuple) -> Chains:
@@ -47,25 +61,55 @@ def _chains(ctx: CrystalContext, funds: tuple) -> Chains:
         plans = tuple(braid_plan(ctx, funds, range(k - 1, n - 1))
                       for k in range(1, n + 1))
         walks = tuple(
-            (tuple((p + 1, table, nj, ni) for p, table, nj, ni, *_ in plan),
+            (tuple((q, _moves(ctx, i, j), len(ctx.fundamental(j)))
+                   for q, j in enumerate(funds[k + 1:], k + 1)),
              ctx.fundamental(i).elements)
-            for plan, i in zip(plans, funds))
+            for k, i in enumerate(funds))
         chains = ctx._chains[funds] = Chains(
             plans, tuple(ctx.fundamental(i).index for i in funds), walks)
     return chains
+
+
+def _length_error(funds: tuple, elem) -> ValueError:
+    return ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
+
+
+def _positions(ctx: CrystalContext, funds: tuple, elem) -> tuple[Chains, list]:
+    """The chains of funds and the position of each label of elem in its
+    factor.  Refuses an element whose length is not that of funds, and one
+    with a label outside its factor, naming the label and B(w_i)."""
+    if len(elem) != len(funds):
+        raise _length_error(funds, elem)
+    chains = _chains(ctx, funds)
+    try:
+        return chains, list(map(getitem, chains.index, elem))
+    except (KeyError, TypeError):   # a missing or an unhashable label
+        for i, label, index in zip(funds, elem, chains.index):
+            if not _is_listed(index, label):
+                raise ValueError(f"{label!r} is not an element of B(w{i}), "
+                                 f"in {elem!r}") from None
+        raise
 
 
 def apply_chain(ctx: CrystalContext, funds: tuple, elem, k: int):
     """Apply the adjacent braidings at positions k, k+1, ..., n-1 (1-based).
 
     Returns the moved element, or None as soon as a braiding gives 0.
+    Every label is checked, also in a factor that the chain does not read.
     """
     if len(elem) != len(funds):
-        raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
+        raise _length_error(funds, elem)
     plans = _chains(ctx, funds).plans
     if not 1 <= k <= len(plans):
         raise IndexError(f"chain start {k} outside 1..{len(plans)}")
-    return apply_plan(plans[k - 1], elem)
+    try:
+        moved = apply_plan(plans[k - 1], elem)
+    except (KeyError, TypeError):   # a foreign label, named below
+        moved = None
+    # only chain 1 of two or more factors, run to its end, reads every label
+    if moved is None or k > 1 or len(plans) == 1:
+        _positions(ctx, funds, elem)
+    return moved
 
 
 def chain_ends(ctx: CrystalContext, funds: tuple, elem):
@@ -74,19 +118,15 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
     None at the first chain that gives 0, which happens exactly when elem lies
     outside the Cartan component of the product of the factors `funds`.
     Chain k moves factor k past the original factors k+1..n, so only the
-    moving factor's position is carried from table to table.
+    moving factor's position is carried from move list to move list.
     """
-    if len(elem) != len(funds):
-        raise ValueError(f"expected a {len(funds)}-factor element, got {elem!r}")
-    chains = _chains(ctx, funds)
-    pos = list(map(getitem, chains.index, elem))
+    chains, pos = _positions(ctx, funds, elem)
     ends = []
     for x, (crossings, labels) in zip(pos, chains.walks):
-        for q, table, nj, ni in crossings:
-            t = table[x * nj + pos[q]]
-            if t < 0:
+        for q, moves, nj in crossings:
+            x = moves[x * nj + pos[q]]
+            if x < 0:
                 return None
-            x = t % ni
         ends.append(labels[x])
     return tuple(ends)
 
@@ -164,7 +204,7 @@ def right_end_tuple(ctx: CrystalContext, elem) -> tuple:
 
     The chains that give the ends also decide membership (`chain_ends`).
     """
-    ends = chain_ends(ctx, tuple(ctx.datum.indices), elem)
+    ends = chain_ends(ctx, ctx.rho_indices, elem)
     if ends is None:
         raise ValueError(f"{elem!r} is outside the Cartan component")
     return ends

@@ -294,7 +294,7 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
 
     # representative independence of the path test and the source
     lam_list = kg.degrees_up_to(bound)
-    rho_funds = tuple(ctx.datum.indices)
+    rho_funds = ctx.rho_indices
     for v in kg.vertices():
         for c in kg.fiber(v):
             for d in lam_list:

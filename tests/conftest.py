@@ -95,7 +95,9 @@ def ref_phi_eps(factors, conv, elem, i):
 
 def rule_lower(factors, conv, elem, i):
     """f_i on a tensor element by the signature-rule primitive on positions,
-    the one that `tensor` and `tensor_component` run; None encodes 0."""
+    the one that `tensor` runs over all r factors; None encodes 0.
+    `tensor_component` applies the two-factor rule inline and shares no code
+    with it, so the component tests compare two independent routes."""
     pos = tuple(c.index[b] for c, b in zip(factors, elem))
     at = _acting_factor(_tensor_rule(factors, conv, i), pos)
     if at < 0:

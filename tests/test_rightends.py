@@ -1,9 +1,12 @@
+from functools import partial
+from itertools import product
+
 import pytest
 
 from crystalgraphs import (Convention, CrystalContext, apply_chain, braiding_at,
                            builtin_datum, extremal_element, in_cartan_component,
                            right_end_chain, right_end_tuple, tensor)
-from crystalgraphs.rightends import chain_ends
+from crystalgraphs.rightends import _moves, chain_ends
 
 from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_component,
                       ref_right_end_inclusion)
@@ -76,6 +79,72 @@ def test_chain_runners_refuse_elements_of_another_length(a2, elem):
                 lambda: right_end_tuple(a2, elem)):
         with pytest.raises(ValueError, match="expected a 2-factor element"):
             run()
+
+
+# every chain entry point, on the factor list (1, 2) of A2
+_RUNNERS = {
+    "chain_ends": lambda ctx, elem: chain_ends(ctx, (1, 2), elem),
+    "apply_chain": lambda ctx, elem: apply_chain(ctx, (1, 2), elem, 1),
+    "in_cartan_component": lambda ctx, elem: in_cartan_component(ctx, (1, 2), elem),
+    "right_end_chain": lambda ctx, elem: right_end_chain(ctx, (1, 2), elem, 1),
+    "right_end_tuple": lambda ctx, elem: right_end_tuple(ctx, elem),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RUNNERS))
+def test_chain_runners_refuse_foreign_labels(a2, entry):
+    # (9,) and (1, 9) are no columns of A2
+    run = partial(_RUNNERS[entry], a2)
+    with pytest.raises(ValueError, match=r"\(9,\) is not an element of B\(w1\)"):
+        run(((9,), B1_))
+    with pytest.raises(ValueError, match=r"\(1, 9\) is not an element of B\(w2\)"):
+        run((A1_, (1, 9)))
+    with pytest.raises(ValueError, match=r"\[1\] is not an element of B\(w2\)"):
+        run((A1_, [1]))   # unhashable
+
+
+def test_apply_chain_refuses_foreign_labels_it_does_not_move(a2):
+    # chain 2 of a 2-factor list has no step, and chain 2 of a 3-factor list
+    # leaves the first factor where it is
+    for funds, elem in (((1, 2), ((9,), B1_)), ((1, 2), (A1_, (9,))),
+                        ((1, 2, 1), ((9,), B1_, A1_))):
+        with pytest.raises(ValueError, match=r"\(9,\) is not an element"):
+            apply_chain(a2, funds, elem, 2)
+
+
+def test_move_lists_match_braiding_at():
+    # slot x * n_j + y holds the new position x' of the moving factor, read
+    # off the braiding at the label pair, or -1 where it gives 0
+    for name in ("A3", "C2"):
+        for convention in Convention:
+            ctx = CrystalContext(builtin_datum(name), convention)
+            for i in ctx.datum.indices:
+                for j in ctx.datum.indices:
+                    ci, cj = ctx.fundamental(i), ctx.fundamental(j)
+                    moves = _moves(ctx, i, j)
+                    assert len(moves) == len(ci) * len(cj)
+                    for x, y in product(ci.elements, cj.elements):
+                        out = braiding_at(ci, cj, ctx.braiding(i, j), (x, y))
+                        want = -1 if out is None else ci.index[out[1]]
+                        assert moves[ci.index[x] * len(cj) + cj.index[y]] == want, (
+                            name, convention, i, j, x, y)
+
+
+def test_chain_ends_equal_right_end_chains():
+    # on every element of the product of the fundamentals, members or not
+    for name in ("A3", "C2"):
+        for convention in Convention:
+            ctx = CrystalContext(builtin_datum(name), convention)
+            funds = ctx.rho_indices
+            P = tensor([ctx.fundamental(i) for i in funds], convention)
+            zeros = 0
+            for elem in P.elements:
+                ends = tuple(right_end_chain(ctx, funds, elem, k)
+                             for k in range(1, len(funds) + 1))
+                zeros += None in ends
+                assert chain_ends(ctx, funds, elem) == (
+                    None if None in ends else ends), (name, convention, elem)
+            assert 0 < zeros < len(P)
 
 
 def test_right_end_inclusion_examples(a2):
