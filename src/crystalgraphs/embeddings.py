@@ -14,7 +14,6 @@ and two edges reach the same path only if they share a target and a color.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iterproduct
 from typing import Callable, Iterator
 
@@ -24,12 +23,20 @@ from .kgraph import KGraph, KPath
 from .rootdata import RootVector, Weight
 
 
-@dataclass
 class GraphEmbedding:
     """An injective colored-graph map: Weyl vertices and edges to the k-graph."""
 
-    vertex_map: dict
-    edge_map: dict
+    def __init__(self, vertex_map: dict, edge_map: dict):
+        self.vertex_map = vertex_map
+        self.edge_map = edge_map
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex_map, self.edge_map) == (other.vertex_map, other.edge_map)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"GraphEmbedding(vertex_map={self.vertex_map!r}, edge_map={self.edge_map!r})"
 
 
 def _check_embedding(kg: KGraph, emb: GraphEmbedding, degree_of) -> None:

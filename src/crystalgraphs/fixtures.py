@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 
 from .rootdata import int_rows
 
@@ -20,6 +19,10 @@ def load(name: str) -> dict:
     if override:
         with open(os.path.join(override, name)) as fh:
             return json.load(fh)
+    # imported here: it pulls in pathlib, zipfile and tempfile, which only
+    # the fixture suites need
+    from importlib import resources
+
     text = resources.files("crystalgraphs").joinpath("fixtures", name).read_text()
     return json.loads(text)
 

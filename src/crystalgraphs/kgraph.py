@@ -141,7 +141,8 @@ class KGraph:
 
     def _row(self, lam, b) -> tuple[dict, ...] | None:
         """Per index i, x -> R(x (x) b) over the x in B(w_i) with x (x) b in
-        the Cartan component; None, and not stored, when b is not in B(lam).
+        the Cartan component; None, and not stored, when b is not in B(lam),
+        unhashable parts included.
 
         For c in the fiber of v, chain i on c (x) b is chain i on c, which
         ends in v_i, followed by chain 1 on v_i (x) b.  So (v, b) is a path
@@ -149,7 +150,10 @@ class KGraph:
         (R(v_1 (x) b), ..., R(v_r (x) b)).
         """
         key = (lam.coords, b)
-        row = self._rows.get(key)
+        try:
+            row = self._rows.get(key)
+        except TypeError:  # an unhashable entry is no element of B(lam)
+            return None
         if row is None:
             ctx = self.ctx
             if b not in ctx.weight_crystal(lam):
@@ -169,7 +173,10 @@ class KGraph:
 
     def is_path(self, v: tuple, element: tuple, degree) -> bool:
         lam = self.ctx.weight(degree)
-        if v not in self._vertex:
+        try:
+            if v not in self._vertex:
+                return False
+        except TypeError:  # an unhashable v is no vertex
             return False
         row = self._row(lam, tuple(element))
         return row is not None and all(map(contains, row, v))
@@ -186,7 +193,11 @@ class KGraph:
     def source(self, p: KPath) -> tuple:
         """Componentwise right ends of v_i (x) b; memoized, and recorded for
         every path that `paths_of_degree` finds; ValueError if `is_path` refuses p."""
-        if p not in self._sources:
+        try:
+            known = p in self._sources
+        except TypeError:  # an unhashable part: is_path refuses p below
+            known = False
+        if not known:
             if not self.is_path(*p):
                 raise ValueError(f"{p} is not a valid path")
             self._record_source(p, self._row(self.ctx.weight(p.degree), p.element))

@@ -10,7 +10,6 @@ else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 
@@ -18,11 +17,38 @@ class NonFiniteTypeError(ValueError):
     """Closure generation exceeded its cap: the datum is not of finite type."""
 
 
-@dataclass(frozen=True)
-class Weight:
+class Value:
+    """Base of the immutable value classes, which each define `_key()`, the
+    tuple of their compared fields.  Assignment raises AttributeError; two
+    values are equal when they are of one class and their keys are equal,
+    and a value hashes as its key, as a frozen dataclass over the key's
+    fields does, so sets and dicts of values keep their order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Weight(Value):
     """Integral weight, coordinates in the fundamental-weight basis."""
 
-    coords: tuple[int, ...]
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
@@ -37,11 +63,14 @@ class Weight:
         return f"Weight{self.coords}"
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(Value):
     """Root-lattice vector, coordinates in the simple-root basis."""
 
-    coords: tuple[int, ...]
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-a for a in self.coords))
@@ -53,20 +82,18 @@ class RootVector:
         return f"RootVector{self.coords}"
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """A Cartan matrix with a symmetrizer and the index set I = {1, ..., rank}."""
+class RootDatum(Value):
+    """A Cartan matrix with a symmetrizer and the index set I = {1, ..., rank}.
 
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
-    name: str = ""
+    Its cached properties live in the instance `__dict__`.
+    """
 
-    def __post_init__(self):
-        r = self.rank
+    def __init__(self, rank: int, cartan: tuple[tuple[int, ...], ...],
+                 symmetrizer: tuple[int, ...], name: str = ""):
+        r = rank
         if r < 1:
             raise ValueError("rank must be positive")
-        a = self.cartan
+        a = cartan
         if len(a) != r or any(len(row) != r for row in a):
             raise ValueError("Cartan matrix must be rank x rank")
         for i in range(r):
@@ -78,13 +105,23 @@ class RootDatum:
                         raise ValueError("off-diagonal Cartan entries must be <= 0")
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise ValueError("Cartan matrix zero pattern must be symmetric")
-        d = self.symmetrizer
+        d = symmetrizer
         if len(d) != r or any(x <= 0 for x in d):
             raise ValueError("symmetrizer needs rank positive entries")
         for i in range(r):
             for j in range(r):
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
+        for field, value in (("rank", rank), ("cartan", cartan),
+                             ("symmetrizer", symmetrizer), ("name", name)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return (self.rank, self.cartan, self.symmetrizer, self.name)
+
+    def __repr__(self) -> str:
+        return (f"RootDatum(rank={self.rank!r}, cartan={self.cartan!r}, "
+                f"symmetrizer={self.symmetrizer!r}, name={self.name!r})")
 
     # -- basic vectors ----------------------------------------------------
 

@@ -77,8 +77,9 @@ class SkewTableau:
     """A semistandard filling of a skew shape outer/inner."""
 
     def __init__(self, outer, inner, cells):
-        """outer and inner are refused with ValueError unless every part is
-        an int (bool, float and string are refused, not coerced)."""
+        """outer and inner, and then the entries of cells, are refused with
+        ValueError unless each is an int (bool, float and string are
+        refused, not coerced)."""
         outer, inner = int_rows([tuple(outer), tuple(inner)],
                                 "skew shape parts must be integers")
         while outer and outer[-1] == 0:
@@ -91,6 +92,7 @@ class SkewTableau:
         self.outer = outer
         self.inner = inner
         self.cells = dict(cells)
+        int_rows([tuple(self.cells.values())], "tableau entries must be integers")
         self.validate()
 
     def _inner(self, r: int) -> int:
@@ -148,7 +150,8 @@ class SkewTableau:
     @classmethod
     def from_rows(cls, rows) -> "SkewTableau":
         """Rows top first; None marks inner-shape holes at the start of a row,
-        and every other entry must be an int (ValueError otherwise)."""
+        and every other entry must be an int (the constructor raises
+        ValueError otherwise)."""
         outer, inner, cells = [], [], {}
         for r, row in enumerate(rows):
             holes = 0
@@ -158,9 +161,8 @@ class SkewTableau:
                 raise ValueError("holes must be leading")
             outer.append(len(row))
             inner.append(holes)
-            entries = int_rows([row[holes:]], "tableau entries must be integers")[0]
-            for c, v in enumerate(entries, holes):
-                cells[(r, c)] = v
+            for c in range(holes, len(row)):
+                cells[(r, c)] = row[c]
         return cls(outer, inner, cells)
 
     def rows_with_holes(self) -> list[list]:

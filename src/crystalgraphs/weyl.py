@@ -11,10 +11,8 @@ touched once the group is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graphs import ColoredDigraph, Edge
-from .rootdata import RootDatum, RootVector, Weight
+from .rootdata import RootDatum, RootVector, Value, Weight
 
 
 # Generation refuses a group past this size, which any datum of infinite type
@@ -22,10 +20,16 @@ from .rootdata import RootDatum, RootVector, Weight
 MAX_GROUP_SIZE = 200_000
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    fingerprint: Weight
-    word: tuple[int, ...] = field(compare=False)
+class WeylElement(Value):
+    """A group element: its fingerprint w(rho), which alone decides equality,
+    and one reduced word."""
+
+    def __init__(self, fingerprint: Weight, word: tuple[int, ...]):
+        object.__setattr__(self, "fingerprint", fingerprint)
+        object.__setattr__(self, "word", word)
+
+    def _key(self) -> tuple:
+        return (self.fingerprint,)
 
     @property
     def length(self) -> int:

@@ -209,6 +209,21 @@ def run_process(*argv, fixture_dir=None):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # each CLI call pays for its imports; measured against a bare
+    # interpreter, so that modules a site hook preloads do not count
+    src = str(Path(crystalgraphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    listing = "import sys; print(' '.join(sys.modules))"
+    loaded = [set(subprocess.run([sys.executable, "-c", prefix + listing],
+                                 capture_output=True, text=True, env=env,
+                                 check=True, timeout=60).stdout.split())
+              for prefix in ("pass; ", "import crystalgraphs.cli; ")]
+    added = loaded[1] - loaded[0]
+    assert "crystalgraphs.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("factors", ["1,5", "0,1"])
 def test_braiding_index_out_of_range_is_usage_error(factors):
     proc = run_process("braiding", "--algebra", "A2", "--factors", factors)

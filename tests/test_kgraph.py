@@ -484,6 +484,24 @@ def test_non_elements_are_not_paths(a2_kg):
     assert a2_kg.source(a2_kg.path(v, (A1_,), omega1)) == wv(a2_kg)
 
 
+@pytest.mark.parametrize("v, b", [(None, [[1]]), (None, ([1],)), (None, ({1},)),
+                                  ([[1]], None), (([1],), None)],
+                         ids=["list", "list-factor", "set-factor", "list-vertex",
+                              "list-in-vertex"])
+def test_unhashable_parts_are_not_paths(a2_kg, v, b):
+    # a list or set is no element and no vertex: is_path says False and
+    # path and source raise ValueError, as for any other non-path
+    omega1 = (1, 0)
+    v = wv(a2_kg, 1) if v is None else v
+    b = (A1_,) if b is None else b
+    assert not a2_kg.is_path(v, b, omega1)
+    with pytest.raises(ValueError, match="is not a path of degree"):
+        a2_kg.path(v, b, omega1)
+    with pytest.raises(ValueError, match="is not a valid path"):
+        a2_kg.source(KPath(v, b, omega1))
+    assert a2_kg.is_path(wv(a2_kg, 1), (A1_,), omega1)
+
+
 # the tuples of fundamental elements that are not vertices, times every
 # element of every degree up to (1, ..., 1)
 SOURCE_SWEEP = {"A2": (Convention.HONG_KANG, 45), "C2": (Convention.OPPOSITE, 260),

@@ -1,9 +1,11 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalgraphs import (NonFiniteTypeError, RootVector, Weight,
+from crystalgraphs import (NonFiniteTypeError, RootDatum, RootVector, Weight,
                            builtin_datum, datum_from_dict, load_datum,
                            resolve_datum)
 from crystalgraphs.weyl import WeylGroup
@@ -128,6 +130,59 @@ def test_datum_validation():
         datum_from_dict({"rank": 2, "cartan": [[2, -1], [0, 2]], "symmetrizer": [1, 1]})
     with pytest.raises(ValueError):
         datum_from_dict({"rank": 2, "cartan": [[2, -2], [-1, 2]], "symmetrizer": [1, 1]})
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, (), ()), "rank must be positive"),
+    ((2, ((2, -1),), (1, 1)), "Cartan matrix must be rank x rank"),
+    ((2, ((1, -1), (-1, 2)), (1, 1)), "needs 2 on the diagonal"),
+    ((2, ((2, 1), (-1, 2)), (1, 1)), "off-diagonal Cartan entries must be <= 0"),
+    ((2, ((2, -1), (0, 2)), (1, 1)), "zero pattern must be symmetric"),
+    ((2, ((2, -1), (-1, 2)), (1,)), "symmetrizer needs rank positive entries"),
+    ((2, ((2, -1), (-1, 2)), (1, 0)), "symmetrizer needs rank positive entries"),
+    ((2, ((2, -2), (-1, 2)), (1, 1)), "does not symmetrize the Cartan matrix"),
+], ids=str)
+def test_datum_validation_messages(args, message):
+    with pytest.raises(ValueError, match=message):
+        RootDatum(*args)
+
+
+@pytest.mark.parametrize("cls", [Weight, RootVector])
+def test_coordinate_vectors_are_values(cls):
+    a, b = cls((1, 2)), cls(coords=(1, 2))
+    assert a == b and not a != b and a is not b
+    assert a != cls((2, 1))
+    assert hash(a) == hash(((1, 2),))
+    assert repr(a) == f"{cls.__name__}(1, 2)"
+    other = RootVector if cls is Weight else Weight
+    assert a != other((1, 2)) and a != (1, 2)
+    assert len({a, b, other((1, 2))}) == 2
+    with pytest.raises(AttributeError, match="cannot assign to field 'coords'"):
+        a.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'coords'"):
+        del a.coords
+    assert a.coords == (1, 2)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_datum_is_a_value():
+    datum = RootDatum(rank=2, cartan=((2, -1), (-1, 2)), symmetrizer=(1, 1))
+    assert datum.name == ""
+    assert datum == RootDatum(2, ((2, -1), (-1, 2)), (1, 1), "")
+    assert datum != A2  # the names differ
+    assert RootDatum(2, A2.cartan, (1, 1), name="A2") == A2
+    assert hash(A2) == hash((2, ((2, -1), (-1, 2)), (1, 1), "A2"))
+    assert repr(C2) == ("RootDatum(rank=2, cartan=((2, -2), (-1, 2)), "
+                        "symmetrizer=(1, 2), name='C2')")
+    with pytest.raises(AttributeError, match="cannot assign to field 'rank'"):
+        datum.rank = 3
+    # the cached properties live in the instance dict, out of eq and hash
+    before = hash(datum)
+    assert datum.simple_root_weights == (w(2, -1), w(-1, 2))
+    assert "simple_root_weights" in vars(datum) and hash(datum) == before
+    assert pickle.loads(pickle.dumps(C2)) == C2
 
 
 def test_datum_file_roundtrip(tmp_path):

@@ -140,6 +140,16 @@ def test_skew_refuses_non_integer_shapes_and_entries():
     assert SkewTableau.from_rows([[None, 1], [2]]).cells == {(0, 1): 1, (1, 0): 2}
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_skew_constructor_refuses_non_integer_entries(entry):
+    # the constructor makes the check of from_rows, with its message
+    with pytest.raises(ValueError, match="tableau entries must be integers"):
+        SkewTableau((2,), (), {(0, 0): entry, (0, 1): 2})
+    with pytest.raises(ValueError, match="tableau entries must be integers"):
+        SkewTableau((1, 1), (1,), {(1, 0): entry})
+    assert SkewTableau((2,), (), {(0, 0): 1, (0, 1): 2}).rows_with_holes() == [[1, 2]]
+
+
 def test_rectify_straight_is_identity():
     t = SkewTableau.from_rows([[1, 2], [2]])
     assert t.rectify() == Tableau([[1, 2], [2]])

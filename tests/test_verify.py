@@ -17,6 +17,35 @@ class Unprintable:
     __str__ = __repr__
 
 
+def test_report_fields_and_dict():
+    rep = Report("s")
+    assert (rep.suite, rep.instances_checked, rep.failures, rep.details) == ("s", 0, [], {})
+    assert Report("t").failures is not rep.failures
+    assert Report("t").details is not rep.details
+    rep = Report(suite="s", instances_checked=2, failures=["f"], details={"n": 1})
+    assert rep.to_dict() == {"suite": "s", "instances_checked": 2,
+                             "failures": ["f"], "details": {"n": 1}}
+    assert rep.to_dict()["failures"] is not rep.failures
+    assert rep == Report("s", 2, ["f"], {"n": 1}) != Report("s", 2)
+    assert repr(rep) == ("Report(suite='s', instances_checked=2, failures=['f'], "
+                         "details={'n': 1})")
+
+
+@pytest.mark.parametrize("suite, option", [("keys", "algebra"),
+                                           ("lemmas", "degree_bound"),
+                                           ("a2-fixtures", "convention"),
+                                           ("kgraph-axioms", "ctx")])
+def test_run_suite_refuses_options_the_suite_does_not_read(suite, option):
+    # a suite reads its parameters, and none of its local variables
+    with pytest.raises(ValueError, match=f"^the {suite} suite does not read {option}$"):
+        run_suite(suite, **{option: "A2"})
+    both = ", ".join(sorted(["bogus", option]))  # named in sorted order
+    with pytest.raises(ValueError, match=f"^the {suite} suite does not read {both}$"):
+        run_suite(suite, bogus=1, **{option: "A2"})
+    with pytest.raises(KeyError, match="unknown suite"):
+        run_suite("no-such-suite")
+
+
 def test_passing_check_formats_nothing():
     rep = Report("lazy")
     rep.check(True, "value %s, again %r", Unprintable(), Unprintable())

@@ -73,6 +73,19 @@ def by_fingerprint(group, lam):
 # -- the tests
 
 
+def test_elements_are_values_of_their_fingerprint():
+    w = el(A2, 1, 2)
+    same = weyl.WeylElement(fingerprint=w.fingerprint, word=(2, 1, 2, 1))
+    assert same == w and hash(same) == hash(w) == hash((w.fingerprint,))
+    assert same.word == (2, 1, 2, 1) and same.length == 4
+    assert w != w.fingerprint and w != el(A2, 2, 1)
+    assert el(A2, 1, 2) in A2.elements and len({w, same}) == 1
+    assert repr(w) == "s1*s2" and repr(el(A2)) == "e"
+    with pytest.raises(AttributeError, match="cannot assign to field 'word'"):
+        w.word = (1,)
+    assert w.word == (1, 2)
+
+
 def test_group_orders():
     assert len(A2) == 6
     assert len(C2) == 8
