@@ -9,8 +9,9 @@ or component sums its factors' weights.  Tensor products support both
 bracketing conventions behind a single flag: the lowering operators of a
 full product follow the signature rule over all its factors, one primitive on
 positions (`_acting_factor`).  A Cartan component is built from its two
-halves by the two-factor rule, applied inline in its search, and a braiding
-table is one flat array over the positions of its two factors.
+halves by one search on the two-factor rule (`_lowering_search`), which the
+k-graph's product tables share, and a braiding table is one flat array over
+the positions of its two factors.
 """
 
 from __future__ import annotations
@@ -349,47 +350,24 @@ def _half(factors, conv: Convention, datum: RootDatum) -> tuple[Crystal, tuple]:
     return comp, comp.elements
 
 
-def tensor_component(factors, convention=Convention.HONG_KANG,
-                     halves=None) -> Crystal:
-    """The Cartan component of a tensor product, built lazily from its halves.
-
-    The tensor product is associative, so the component of F_1 ... F_r lies
-    inside C(F_1 ... F_m) (x) C(F_m+1 ... F_r) with m = r // 2, and there it
-    is the component of the product of the two highest weight elements.  The
-    lowering operators alone reach all of it from that element, breadth
-    first, by the signature rule on two factors, applied inline: f_i acts on
-    the factor read first (the left one under hong-kang, the right one under
-    opposite) when its phi_i exceeds the other factor's epsilon_i, else on
-    the other factor when that one's phi_i is positive, else it gives 0.
-    The halves are `halves` when given, as (crystal, labels) pairs (the
-    components of the two factor lists, or a single factor itself, as
-    `CrystalContext.cartan_of` hands them over), and are built the same way
-    otherwise (`_half`; for r = 1 the halves are B(0) and the factor).  The
-    search never reads how a half numbers its elements, so the element order
-    does not depend on it.  An element's label is the concatenation of its
-    two half labels, built once, after the search.  Only the components are
-    ever materialized, so large ambient products cost nothing.
-    """
-    factors, datum = _check_factors(factors)
-    conv = as_convention(convention)
-    if halves is None:
-        m = len(factors) // 2
-        halves = (_half(factors[:m], conv, datum), _half(factors[m:], conv, datum))
-    (left, lparts), (right, rparts) = halves
-    in_order = conv is Convention.HONG_KANG   # the left half is read first
-    first, second = (left, right) if in_order else (right, left)
+def _lowering_search(first: Crystal, second: Crystal) -> tuple[array, array, dict]:
+    """The Cartan component of first (x) second, two connected crystals in
+    reading order, searched breadth first from their highest weight pair: its
+    elements as position pairs (apos[k], bpos[k]) in order of first sight,
+    and its lowering maps.  f_i acts on the factor read first when its phi_i
+    exceeds the other's epsilon_i, else on the other when its phi_i is
+    positive, else it gives 0.  A crystal isomorphism commutes with every
+    f_i, so the search numbers any two isomorphic components alike."""
     # per index: phi_i of the factor read first, epsilon_i and phi_i of the
     # other, the two lowering maps, and the component's lowering map, which
     # grows by one slot per element searched
-    maps = {i: array("i") for i in datum.indices}
+    maps = {i: array("i") for i in first.datum.indices}
     rules = [(first._string_arrays(i)[1], *second._string_arrays(i),
               first._f[i], second._f[i], maps[i].append)
-             for i in datum.indices]
+             for i in first.datum.indices]
     width = len(second)
-    # the component's elements as position pairs (apos[k], bpos[k]) in the
-    # factors read first and second, in breadth-first order; `seen` maps a
-    # pair's code a * width + b to the element's position, so it grows with
-    # the component, not the product
+    # `seen` maps a pair's code a * width + b to the element's position, so
+    # it grows with the component, not the product
     apos = array("i", [first.index[first.hw_element()]])
     bpos = array("i", [second.index[second.hw_element()]])
     seen = {apos[0] * width + bpos[0]: 0}
@@ -409,8 +387,39 @@ def tensor_component(factors, convention=Convention.HONG_KANG,
                 apos.append(a2)
                 bpos.append(b2)
             put(t)
-    del seen   # freed before the labels are built
-    lpos, rpos = (apos, bpos) if in_order else (bpos, apos)
+    return apos, bpos, maps
+
+
+def tensor_component(factors, convention=Convention.HONG_KANG,
+                     halves=None) -> Crystal:
+    """The Cartan component of a tensor product, built lazily from its halves.
+
+    The tensor product is associative, so the component of F_1 ... F_r lies
+    inside C(F_1 ... F_m) (x) C(F_m+1 ... F_r) with m = r // 2, and there it
+    is the component of the product of the two highest weight elements.
+    `_lowering_search` reaches all of it from that element, reading the left
+    half first under hong-kang and the right half under opposite, and its
+    order of first sight numbers the elements, so two isomorphic components
+    are numbered alike.  The halves are `halves` when given, as (crystal,
+    labels) pairs (the components of the two factor lists, or a single
+    factor itself, as `CrystalContext.cartan_of` hands them over), and are
+    built the same way otherwise (`_half`; for r = 1 the halves are B(0) and
+    the factor).  The search never reads how a half numbers its elements, so
+    the element order does not depend on it.  An element's label is the
+    concatenation of its two half labels, built once, after the search.
+    Only the components are ever materialized, so large ambient products
+    cost nothing.
+    """
+    factors, datum = _check_factors(factors)
+    conv = as_convention(convention)
+    if halves is None:
+        m = len(factors) // 2
+        halves = (_half(factors[:m], conv, datum), _half(factors[m:], conv, datum))
+    (left, lparts), (right, rparts) = halves
+    if conv is Convention.HONG_KANG:
+        lpos, rpos, maps = _lowering_search(left, right)
+    else:
+        rpos, lpos, maps = _lowering_search(right, left)
     elements = [lparts[p] + rparts[q] for p, q in zip(lpos, rpos)]
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
     comp = Crystal(datum, elements, None, maps, name=name, factors=factors)
@@ -661,11 +670,21 @@ MAX_CRYSTAL_SIZE = 200_000
 
 
 def _refuse_over_limit(size: int, what: str) -> int:
-    """size, or a ValueError naming `what` when it is over MAX_CRYSTAL_SIZE."""
-    if size > MAX_CRYSTAL_SIZE:
-        raise ValueError(f"{what} has {size:,} elements, over the limit of "
-                         f"{MAX_CRYSTAL_SIZE:,}")
-    return size
+    """size, or a ValueError naming `what` when it is over MAX_CRYSTAL_SIZE;
+    past 10**12 the error names the size as 6.99e+246, through log10, since
+    str() refuses an int of over 4,300 digits."""
+    if size <= MAX_CRYSTAL_SIZE:
+        return size
+    if size <= 10 ** 12:
+        count = f"{size:,}"
+    else:
+        exponent, fraction = divmod(math.log10(size), 1)
+        mantissa = round(10 ** fraction, 2)
+        if mantissa >= 10:   # 9.995 and up round to the next power of ten
+            mantissa, exponent = mantissa / 10, exponent + 1
+        count = f"{mantissa:.2f}e+{exponent:.0f}"
+    raise ValueError(f"{what} has {count} elements, over the limit of "
+                     f"{MAX_CRYSTAL_SIZE:,}")
 
 
 def check_crystal_size(datum: RootDatum, lam: Weight) -> int:

@@ -14,11 +14,10 @@ from itertools import product as iterproduct
 from operator import contains, getitem
 from typing import NamedTuple
 
-from .crystal import (Crystal, CrystalContext, check_crystal_size,
-                      extremal_element, tensor_component)
+from .crystal import (Convention, Crystal, CrystalContext, _lowering_search,
+                      check_crystal_size, extremal_element, tensor_component)
 from .graphs import ColoredDigraph, Edge
-from .rightends import (apply_plan, braid_plan, in_cartan_component,
-                        right_end_chain, right_end_tuple, sorting_word)
+from .rightends import in_cartan_component, right_end_chain, right_end_tuple
 from .weyl import WeylElement, WeylGroup
 
 
@@ -30,18 +29,17 @@ class KPath(NamedTuple):
     degree: tuple[int, ...]
 
 
-# the codes of a product-table slot that holds no target position
-UNSET, OFF = -1, -2
+# the code of a product-table slot whose pair left the Cartan component
+OFF = -1
 
 
 class ProductTable(NamedTuple):
-    """The products of B(deg1) with B(deg2): the braid plan that sorts their
-    factor lists, the three realizations, the summed degree, and one slot per
-    element pair, in rows by the left element: UNSET until computed, OFF
-    when the product left the Cartan component, else its position in
-    `target`."""
+    """The products of B(deg1) with B(deg2): the three realizations, the
+    summed degree, and one slot per element pair, in rows by the left
+    element: OFF when the product left the Cartan component, else its
+    position in `target`, the place where the lowering search that made the
+    table first saw the pair."""
 
-    plan: tuple
     left: Crystal
     right: Crystal
     target: Crystal
@@ -217,43 +215,46 @@ class KGraph:
     def _product_table(self, deg1: tuple, deg2: tuple) -> ProductTable:
         """The products of B(deg1) with B(deg2), one slot per element pair.
 
-        The plan sorts funds(deg1) + funds(deg2) by adjacent braidings.  Each
-        braiding is the canonical isomorphism between Cartan components, so
-        the plan maps the Cartan component of the product onto the sorted
-        realization of B(deg1 + deg2) and takes every other element to 0 or
-        outside that realization.  Slots are filled by `_product`.
+        The product of b1 and b2 is the image of b1 (x) b2 under the crystal
+        isomorphism of the Cartan component of B(deg1) (x) B(deg2) onto
+        B(deg1 + deg2); every other pair is OFF.  The isomorphism commutes
+        with every f_i, so `_lowering_search` meets the component's pairs in
+        the order in which `tensor_component` numbered B(deg1 + deg2): the
+        k-th pair found has its product at position k.
         """
         key = (deg1, deg2)
         entry = self._products.get(key)
         if entry is None:
             ctx = self.ctx
-            funds = ctx.fundamental_indices(deg1) + ctx.fundamental_indices(deg2)
             degree = tuple(a + b for a, b in zip(deg1, deg2))
             left, right = ctx.weight_crystal(deg1), ctx.weight_crystal(deg2)
             target = ctx.weight_crystal(degree)
-            code = "h" if len(target) < 32767 else "i"
+            if ctx.convention is Convention.HONG_KANG:
+                lpos, rpos, _ = _lowering_search(left, right)
+            else:
+                rpos, lpos, _ = _lowering_search(right, left)
+            if len(lpos) != len(target):
+                raise RuntimeError(
+                    f"the Cartan component of B{deg1} (x) B{deg2} has "
+                    f"{len(lpos)} elements, but B{degree} has {len(target)}")
+            width = len(right)
+            slots = array("h" if len(target) < 32767 else "i",
+                          [OFF]) * (len(left) * width)
+            for k, (x, y) in enumerate(zip(lpos, rpos)):
+                slots[x * width + y] = k
             entry = self._products[key] = ProductTable(
-                braid_plan(ctx, funds, sorting_word(funds)), left, right,
-                target, degree, len(right),
-                array(code, [UNSET]) * (len(left) * len(right)))
+                left, right, target, degree, width, slots)
         return entry
 
     def _product(self, entry: ProductTable, i1: int, i2: int) -> int:
         """The position in entry.target of the product of elements i1 of
         entry.left and i2 of entry.right; raises if it left the Cartan
-        component.  Each slot runs the plan at most once."""
-        k = i1 * entry.width + i2
-        t = entry.slots[k]
-        if t < 0:
-            if t == UNSET:
-                elem = apply_plan(entry.plan, entry.left.elements[i1]
-                                  + entry.right.elements[i2])
-                pos = None if elem is None else entry.target.position(elem)
-                t = entry.slots[k] = OFF if pos is None else pos
-            if t == OFF:
-                raise RuntimeError(
-                    f"{entry.left.elements[i1]!r} (x) {entry.right.elements[i2]!r} "
-                    f"left the Cartan component of B{entry.degree}")
+        component."""
+        t = entry.slots[i1 * entry.width + i2]
+        if t == OFF:
+            raise RuntimeError(
+                f"{entry.left.elements[i1]!r} (x) {entry.right.elements[i2]!r} "
+                f"left the Cartan component of B{entry.degree}")
         return t
 
     def compose(self, p: KPath, q: KPath) -> KPath:

@@ -131,23 +131,6 @@ def chain_ends(ctx: CrystalContext, funds: tuple, elem):
     return tuple(ends)
 
 
-def sorting_word(funds) -> tuple[int, ...]:
-    """Positions (0-based) of the stable adjacent-swap sort of funds.
-
-    Applied in order, the swaps put the factor list in increasing order and
-    never exchange two equal indices.
-    """
-    funds = list(funds)
-    word = []
-    for k in range(1, len(funds)):
-        pos = k
-        while pos > 0 and funds[pos - 1] > funds[pos]:
-            funds[pos - 1], funds[pos] = funds[pos], funds[pos - 1]
-            pos -= 1
-            word.append(pos)
-    return tuple(word)
-
-
 def braid_plan(ctx: CrystalContext, funds, positions) -> tuple:
     """The steps of a positional braid word on a factor list.
 

@@ -273,12 +273,9 @@ def _degree_bound(ctx: CrystalContext, degree_bound,
     at most, so that size is checked before anything is built; B(rho) is
     checked when the k-graph asks for it.
     """
-    rank = ctx.datum.rank
-    bound = tuple(degree_bound) if degree_bound else (1,) * rank
-    if not all(type(b) is int for b in bound):
-        raise ValueError(f"degree bound {bound} must have integer entries")
-    if len(bound) != rank or any(b < 0 for b in bound):
-        raise ValueError(f"degree bound {bound} does not fit rank {rank}")
+    bound = ctx.weight(degree_bound or (1,) * ctx.datum.rank).coords
+    if any(b < 0 for b in bound):
+        raise ValueError(f"degree bound {bound} has a negative entry")
     check_crystal_size(ctx.datum, ctx.weight([composed * b for b in bound]))
     return bound
 
@@ -374,18 +371,15 @@ def suite_kgraph_axioms(algebra: str = "A2", convention="hong-kang",
                 if runs and spq != sq:
                     raise ValueError("paths are not composable: source(p) != range(q)")
                 ipq = product(pq_table, ip, iq)
-                # a filled slot is read in place; `product` fills an UNSET
-                # one and raises on OFF
                 for left, right, run in triples:
                     lslots, lrow = left.slots, ipq * left.width
                     rslots, rrow = right.slots, ip * right.width
                     for r, ir, iqr in run:
                         t = lslots[lrow + ir]
-                        if t < 0:
-                            t = product(left, ipq, ir)
                         u = rslots[rrow + iqr]
-                        if u < 0:
-                            u = product(right, ip, iqr)
+                        if t < 0 or u < 0:   # OFF: `product` raises on it
+                            product(left, ipq, ir)
+                            product(right, ip, iqr)
                         rep.check(t == u, "associativity fails on %s, %s, %s",
                                   p, q, r)
     return rep

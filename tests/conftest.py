@@ -7,7 +7,7 @@ from crystalgraphs import (Convention, Crystal, CrystalContext, KGraph, Weight,
                            WeylGroup, builtin_datum, canonical_isomorphism,
                            tensor_component)
 from crystalgraphs.crystal import _acting_factor, _tensor_rule
-from crystalgraphs.rightends import apply_plan, braid_plan, sorting_word
+from crystalgraphs.rightends import apply_plan, braid_plan
 
 
 @pytest.fixture(scope="session")
@@ -185,6 +185,23 @@ def ref_right_end_inclusion(ctx, crystal, b, mu):
 
 
 # -- the product reference: the tuple route that product tables replace -------
+
+def sorting_word(funds) -> tuple[int, ...]:
+    """Positions (0-based) of the stable adjacent-swap sort of funds.
+
+    Applied in order, the swaps put the factor list in increasing order and
+    never exchange two equal indices.
+    """
+    funds = list(funds)
+    word = []
+    for k in range(1, len(funds)):
+        pos = k
+        while pos > 0 and funds[pos - 1] > funds[pos]:
+            funds[pos - 1], funds[pos] = funds[pos], funds[pos - 1]
+            pos -= 1
+            word.append(pos)
+    return tuple(word)
+
 
 def ref_product(ctx, deg1, deg2, b1, b2):
     """The product of b1 in B(deg1) and b2 in B(deg2) in B(deg1 + deg2): the

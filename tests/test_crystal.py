@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import pytest
@@ -485,6 +486,18 @@ def test_braiding_refusal_builds_no_fundamental(monkeypatch, algebra, factors, s
     with pytest.raises(ValueError, match=f"has {size} elements, over the limit"):
         ctx.braiding(*factors)
     assert built == []
+
+
+@pytest.mark.parametrize("n, short", [
+    (200_001, "200,001"), (10 ** 12, "1,000,000,000,000"),
+    (10 ** 12 + 1, "1.00e+12"), (10 ** 13 - 1, "1.00e+13"),
+    (2 ** 820, "6.99e+246"), (2 ** 20100, "5.05e+6050")],
+    ids=["200,001", "1e12", "1e12+1", "1e13-1", "2^820", "2^20100"])
+def test_refusal_names_a_huge_count_in_short(n, short):
+    # 2**20100 has 6,051 digits, more than str() converts by default
+    from crystalgraphs.crystal import _refuse_over_limit
+    with pytest.raises(ValueError, match=f"^it has {re.escape(short)} elements, over the limit"):
+        _refuse_over_limit(n, "it")
 
 
 def test_canonical_isomorphism(a2):

@@ -311,26 +311,14 @@ def test_compose_matches_component_route(name, conv):
     assert (pairs, off) == counts
 
 
-# every slot of every degree pair up to these bounds, under both conventions
-PRODUCT_BOUNDS = {"A2": (1, 1), "C2": (1, 1), "A3": (1, 0, 1)}
-
-
-@pytest.mark.parametrize("name,conv", [(name, conv) for name in PRODUCT_BOUNDS
-                                       for conv in Convention])
-def test_product_tables_match_tuple_route(monkeypatch, name, conv):
-    import crystalgraphs.kgraph
-    from crystalgraphs.kgraph import UNSET
-    plans_run = [0]
-    apply_plan = crystalgraphs.kgraph.apply_plan
-
-    def counted(plan, elem):
-        plans_run[0] += 1
-        return apply_plan(plan, elem)
-
-    monkeypatch.setattr(crystalgraphs.kgraph, "apply_plan", counted)
+def _compare_product_tables(name, conv, bound) -> tuple[int, int]:
+    """Every slot of every degree pair up to the bound against `ref_product`;
+    each table is complete when it is made, and a read changes no slot.
+    Returns the numbers of slots and of OFF slots."""
+    from crystalgraphs.kgraph import OFF
     ctx = CrystalContext(builtin_datum(name), conv)
     kg = KGraph(ctx)
-    degrees = kg.degrees_up_to(PRODUCT_BOUNDS[name])
+    degrees = kg.degrees_up_to(bound)
     slots = off = 0
     for d1 in degrees:
         for d2 in degrees:
@@ -339,21 +327,63 @@ def test_product_tables_match_tuple_route(monkeypatch, name, conv):
             assert entry.target is ctx.weight_crystal(entry.degree)
             assert entry.slots.typecode == "h"
             assert len(entry.slots) == len(entry.left) * len(entry.right)
+            made = entry.slots.tolist()
+            assert made.count(OFF) == len(entry.slots) - len(entry.target)
             for i1, b1 in enumerate(entry.left.elements):
                 for i2, b2 in enumerate(entry.right.elements):
                     want = ref_product(ctx, d1, d2, b1, b2)
                     slots += 1
                     off += want is None
-                    for _ in range(2):   # the first call fills, the repeat reads
-                        if want is None:
-                            with pytest.raises(RuntimeError):
-                                kg._product(entry, i1, i2)
-                        else:
-                            t = kg._product(entry, i1, i2)
-                            assert entry.target.elements[t] == want
-            assert UNSET not in entry.slots
-    assert plans_run[0] == slots
+                    if want is None:
+                        with pytest.raises(RuntimeError):
+                            kg._product(entry, i1, i2)
+                    else:
+                        t = kg._product(entry, i1, i2)
+                        assert entry.target.elements[t] == want
+            assert entry.slots.tolist() == made
+    return slots, off
+
+
+# every slot of every degree pair up to these bounds, under both conventions
+PRODUCT_BOUNDS = {"A2": (1, 1), "C2": (1, 1), "A3": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("name,conv", [(name, conv) for name in PRODUCT_BOUNDS
+                                       for conv in Convention])
+def test_product_tables_match_tuple_route(name, conv):
+    slots, off = _compare_product_tables(name, conv, PRODUCT_BOUNDS[name])
     assert 0 < off < slots
+
+
+def test_product_table_refuses_a_search_of_the_wrong_size(monkeypatch):
+    # a search that met fewer pairs than |B(deg1 + deg2)| cannot number the
+    # target, so no table is made from it
+    import crystalgraphs.kgraph
+    search = crystalgraphs.kgraph._lowering_search
+
+    def short(first, second):
+        apos, bpos, maps = search(first, second)
+        return apos[:-1], bpos[:-1], maps
+
+    monkeypatch.setattr(crystalgraphs.kgraph, "_lowering_search", short)
+    kg = KGraph(CrystalContext(builtin_datum("A2")))
+    with pytest.raises(RuntimeError, match=r"B\(1, 0\) \(x\) B\(0, 1\) has 7 "
+                                           r"elements, but B\(1, 1\) has 8"):
+        kg._product_table((1, 0), (0, 1))
+    assert kg._products == {}
+
+
+# the acceptance bounds of the axioms suite: 137,346 slots over both conventions
+PRODUCT_BOUNDS_SLOW = {"A2": (2, 2), "C2": (2, 2), "A3": (1, 1, 1), "A4": (1, 0, 0, 1)}
+
+
+@pytest.mark.slow
+def test_product_tables_match_tuple_route_at_axioms_bounds():
+    slots = 0
+    for name, bound in PRODUCT_BOUNDS_SLOW.items():
+        for conv in Convention:
+            slots += _compare_product_tables(name, conv, bound)[0]
+    assert slots == 137_346
 
 
 def test_axioms_build_only_sorted_components(monkeypatch):

@@ -74,8 +74,18 @@ def test_kgraph_axioms_pass_under_opposite(algebra):
 @pytest.mark.parametrize("bound", [(1.5, 1), ("1", 1), (True, 1), (1.0, 1)],
                          ids=["1.5", "string", "bool", "1.0"])
 def test_degree_bound_refuses_non_integers(bound):
-    # unchecked, 1.5 and "1" raise TypeError deep in the suite and True runs as 1
-    with pytest.raises(ValueError, match=r"degree bound .* integer entries"):
+    # unchecked, 1.5 and "1" raise TypeError deep in the suite and True runs as 1;
+    # the bound is read as a weight, so the refusal is the weight's
+    with pytest.raises(ValueError, match=r"weight coordinates must be integers"):
+        run_suite("kgraph-axioms", algebra="A2", degree_bound=bound)
+
+
+@pytest.mark.parametrize("bound, message", [
+    ((1, 1, 1), r"rank 2 weights have 2 coordinates, got \(1, 1, 1\)"),
+    ((-1, 1), r"degree bound \(-1, 1\) has a negative entry")],
+    ids=["rank", "negative"])
+def test_degree_bound_refuses_wrong_rank_and_negative_entries(bound, message):
+    with pytest.raises(ValueError, match=message):
         run_suite("kgraph-axioms", algebra="A2", degree_bound=bound)
 
 
