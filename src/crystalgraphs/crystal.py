@@ -6,12 +6,12 @@ arrays; zero is -1 there and None at the label API, never a sentinel element.
 Raising maps and string lengths are built per index on first use.  Only a
 crystal given weights (fundamentals, data files) stores them; a tensor product
 or component sums its factors' weights.  Tensor products support both
-bracketing conventions behind a single flag: the lowering operators of a
-full product follow the signature rule over all its factors, one primitive on
-positions (`_acting_factor`).  A Cartan component is built from its two
-halves by one search on the two-factor rule (`_lowering_search`), which the
-k-graph's product tables share, and a braiding table is one flat array over
-the positions of its two factors.
+bracketing conventions behind a single flag.  The two-factor rule lives in
+one search on positions (`_lowering_search`), which reads the factors in the
+convention's order: a full product of two crystals (`tensor`) is that search
+seeded with every pair, a Cartan component is built from its two halves by
+it, the k-graph's product tables share it, and a braiding table is one flat
+array over the positions of its two factors.
 """
 
 from __future__ import annotations
@@ -262,42 +262,6 @@ def trivial_crystal(datum: RootDatum) -> Crystal:
 
 # -- tensor products --------------------------------------------------------
 
-def _tensor_rule(factors, conv: Convention, i: int) -> tuple:
-    """The scan of the signature rule for f_i on a tensor product: the
-    (place, epsilon_i array, phi_i array) of each factor, in reading order.
-
-    Hong-kang reads the factors left to right, opposite reads them right to
-    left.  `_acting_factor` runs the rule on the positions of one element.
-    """
-    places = range(len(factors))
-    if conv is not Convention.HONG_KANG:
-        places = reversed(places)
-    return tuple((k, *factors[k]._string_arrays(i)) for k in places)
-
-
-def _acting_factor(scan, pos) -> int:
-    """The place of the factor that f_i lowers, or -1 when f_i gives 0.
-
-    This is the signature rule (Bump-Schilling, *Crystal Bases*, 2017): the
-    factor at position p contributes epsilon_i(p) signs - followed by phi_i(p)
-    signs +, and each - cancels the nearest uncancelled + before it in
-    reading order.  Lowering acts on the factor of the first uncancelled +.
-    One pass keeps `acc`, the number of uncancelled signs + so far, and `at`,
-    the place the operator would act on.  `pos` holds one position per factor.
-    """
-    acc = 0
-    at = -1
-    for k, eps, phi in scan:
-        p = pos[k]
-        e = eps[p]
-        if e >= acc:
-            acc = phi[p]
-            at = k if acc else -1
-        else:
-            acc += phi[p] - e
-    return at
-
-
 def _check_factors(factors):
     factors = tuple(factors)
     if not factors:
@@ -309,28 +273,23 @@ def _check_factors(factors):
 
 
 def tensor(factors, convention=Convention.HONG_KANG) -> Crystal:
-    """The full tensor product crystal; element ids are tuples of factor ids,
-    in the order of `itertools.product`.
+    """The full tensor product of exactly two crystals; element ids are
+    pairs of factor ids, in the order of `itertools.product`.
 
-    Refuses, before building anything, a product over MAX_CRYSTAL_SIZE.
+    It is `_lowering_search` seeded with every pair in that order, so the
+    position of x (x) y is x * |right| + y.  Refuses, before building
+    anything, any other number of factors and a product over
+    MAX_CRYSTAL_SIZE.
     """
-    factors, datum = _check_factors(factors)
-    conv = as_convention(convention)
-    name = "(" + " x ".join(c.name for c in factors) + ")"
-    size = _refuse_over_limit(math.prod(map(len, factors)), f"the product {name}")
-    # the position of an element is its mixed-radix number over the factors
-    strides = [math.prod(len(c) for c in factors[k + 1:])
-               for k in range(len(factors))]
-    lowering = {}
-    for i in datum.indices:
-        scan = _tensor_rule(factors, conv, i)
-        maps = [c._f[i] for c in factors]
-        fmap = lowering[i] = array("i", [-1]) * size
-        for code, pos in enumerate(iterproduct(*(range(len(c)) for c in factors))):
-            at = _acting_factor(scan, pos)
-            if at >= 0:
-                fmap[code] = code + (maps[at][pos[at]] - pos[at]) * strides[at]
-    elements = iterproduct(*[c.elements for c in factors])
+    factors = tuple(factors)
+    if len(factors) != 2:
+        raise ValueError(f"tensor takes two factors, got {len(factors)}")
+    (left, right), datum = _check_factors(factors)
+    name = f"({left.name} x {right.name})"
+    _refuse_over_limit(len(left) * len(right), f"the product {name}")
+    seeds = iterproduct(range(len(left)), range(len(right)))
+    _, _, lowering = _lowering_search(left, right, as_convention(convention), seeds)
+    elements = iterproduct(left.elements, right.elements)
     return Crystal(datum, elements, None, lowering, name=name, factors=factors)
 
 
@@ -350,28 +309,45 @@ def _half(factors, conv: Convention, datum: RootDatum) -> tuple[Crystal, tuple]:
     return comp, comp.elements
 
 
-def _lowering_search(first: Crystal, second: Crystal) -> tuple[array, array, dict]:
-    """The Cartan component of first (x) second, two connected crystals in
-    reading order, searched breadth first from their highest weight pair: its
-    elements as position pairs (apos[k], bpos[k]) in order of first sight,
-    and its lowering maps.  f_i acts on the factor read first when its phi_i
-    exceeds the other's epsilon_i, else on the other when its phi_i is
-    positive, else it gives 0.  A crystal isomorphism commutes with every
-    f_i, so the search numbers any two isomorphic components alike."""
+def _lowering_search(left: Crystal, right: Crystal, conv: Convention,
+                     seeds=None) -> tuple[array, array, dict]:
+    """The part of left (x) right that lowering reaches from `seeds`,
+    distinct pairs (x, y) of positions in left and right, or by default from
+    the pair of highest weight elements, which is the Cartan component of two
+    connected crystals.  Returns its elements as position pairs
+    (lpos[k], rpos[k]), the seeds first and then in breadth-first order of
+    first sight, and its lowering maps.
+
+    Hong-kang reads left first, opposite reads right first.  This is the
+    two-factor case of the signature rule (Bump-Schilling, *Crystal Bases*,
+    2017): f_i acts on the factor read first when its phi_i exceeds the
+    other's epsilon_i, else on the other when its phi_i is positive, else it
+    gives 0.  A crystal isomorphism commutes with every f_i, so the search
+    from the highest weight pair numbers any two isomorphic components alike.
+    """
+    hong_kang = conv is Convention.HONG_KANG
+    first, second = (left, right) if hong_kang else (right, left)
     # per index: phi_i of the factor read first, epsilon_i and phi_i of the
-    # other, the two lowering maps, and the component's lowering map, which
+    # other, the two lowering maps, and the result's lowering map, which
     # grows by one slot per element searched
     maps = {i: array("i") for i in first.datum.indices}
     rules = [(first._string_arrays(i)[1], *second._string_arrays(i),
               first._f[i], second._f[i], maps[i].append)
              for i in first.datum.indices]
     width = len(second)
-    # `seen` maps a pair's code a * width + b to the element's position, so
-    # it grows with the component, not the product
-    apos = array("i", [first.index[first.hw_element()]])
-    bpos = array("i", [second.index[second.hw_element()]])
-    seen = {apos[0] * width + bpos[0]: 0}
-    n = 1
+    if seeds is None:
+        seeds = ((left.index[left.hw_element()], right.index[right.hw_element()]),)
+    # apos, bpos: positions in the factors read first and second; `seen`
+    # maps a pair's code a * width + b to the element's position, so it
+    # grows with the elements reached, not the product
+    apos, bpos = array("i"), array("i")
+    seen = {}
+    for x, y in seeds:
+        a, b = (x, y) if hong_kang else (y, x)
+        seen[a * width + b] = len(apos)
+        apos.append(a)
+        bpos.append(b)
+    n = len(apos)
     for a, b in zip(apos, bpos):   # the zip walks both arrays while they grow
         for phi1, eps2, phi2, f1, f2, put in rules:
             if phi1[a] > eps2[b]:
@@ -387,7 +363,7 @@ def _lowering_search(first: Crystal, second: Crystal) -> tuple[array, array, dic
                 apos.append(a2)
                 bpos.append(b2)
             put(t)
-    return apos, bpos, maps
+    return (apos, bpos, maps) if hong_kang else (bpos, apos, maps)
 
 
 def tensor_component(factors, convention=Convention.HONG_KANG,
@@ -416,10 +392,7 @@ def tensor_component(factors, convention=Convention.HONG_KANG,
         m = len(factors) // 2
         halves = (_half(factors[:m], conv, datum), _half(factors[m:], conv, datum))
     (left, lparts), (right, rparts) = halves
-    if conv is Convention.HONG_KANG:
-        lpos, rpos, maps = _lowering_search(left, right)
-    else:
-        rpos, lpos, maps = _lowering_search(right, left)
+    lpos, rpos, maps = _lowering_search(left, right, conv)
     elements = [lparts[p] + rparts[q] for p, q in zip(lpos, rpos)]
     name = "cartan(" + " x ".join(c.name for c in factors) + ")"
     comp = Crystal(datum, elements, None, maps, name=name, factors=factors)
@@ -500,7 +473,8 @@ def cartan_braiding(c1: Crystal, c2: Crystal,
     It is the canonical isomorphism between the Cartan components of the two
     products and zero on every other element.  With n1 = |c1| and n2 = |c2|,
     slot x * n2 + y (x (x) y at positions x in c1 and y in c2, the position
-    of the pair in the full product) holds y' * n1 + x' for the image
+    of the pair in the full product `tensor((c1, c2))`, whose search is
+    seeded with every pair in that order) holds y' * n1 + x' for the image
     y' (x) x', or -1 for 0.  `braiding_at` reads it at a pair of labels.
     """
     conv = as_convention(convention)

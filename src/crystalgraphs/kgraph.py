@@ -14,7 +14,7 @@ from itertools import product as iterproduct
 from operator import contains, getitem
 from typing import NamedTuple
 
-from .crystal import (Convention, Crystal, CrystalContext, _lowering_search,
+from .crystal import (Crystal, CrystalContext, _lowering_search,
                       check_crystal_size, extremal_element, tensor_component)
 from .graphs import ColoredDigraph, Edge
 from .rightends import in_cartan_component, right_end_chain, right_end_tuple
@@ -88,7 +88,8 @@ class KGraph:
     def fiber(self, v: tuple) -> tuple:
         """All elements of B(rho) whose right-end tuple is v, in the order of
         `ctx.rho_crystal().elements`; the fibers are grouped on first use by
-        the labels read at construction, so no right end is computed twice."""
+        the labels read at construction, so no right end is computed twice;
+        ValueError when v is not a vertex."""
         if self._fibers is None:
             elements = self.ctx.rho_crystal().elements
             if len(elements) != len(self._labels):
@@ -99,7 +100,10 @@ class KGraph:
             for c, label in zip(elements, self._labels):
                 groups[label].append(c)
             self._fibers = dict(zip(self._first_seen, map(tuple, groups)))
-        return self._fibers[v]
+        try:
+            return self._fibers[v]
+        except (KeyError, TypeError):  # an unhashable v is no vertex either
+            raise ValueError(f"{v!r} is not a vertex") from None
 
     @cached_property
     def weyl_group(self) -> WeylGroup:
@@ -229,10 +233,7 @@ class KGraph:
             degree = tuple(a + b for a, b in zip(deg1, deg2))
             left, right = ctx.weight_crystal(deg1), ctx.weight_crystal(deg2)
             target = ctx.weight_crystal(degree)
-            if ctx.convention is Convention.HONG_KANG:
-                lpos, rpos, _ = _lowering_search(left, right)
-            else:
-                rpos, lpos, _ = _lowering_search(right, left)
+            lpos, rpos, _ = _lowering_search(left, right, ctx.convention)
             if len(lpos) != len(target):
                 raise RuntimeError(
                     f"the Cartan component of B{deg1} (x) B{deg2} has "
@@ -262,10 +263,14 @@ class KGraph:
         and q need only be an element of B(deg q) at s(p), a path or not."""
         if self.source(p) != q.vertex:
             raise ValueError("paths are not composable: source(p) != range(q)")
-        entry = self._product_table(p.degree, q.degree)
-        i2 = entry.right.position(q.element)
+        deg2 = self.ctx.weight(q.degree).coords
+        entry = self._product_table(p.degree, deg2)
+        try:
+            i2 = entry.right.position(q.element)
+        except TypeError:  # an unhashable element is no element of B(deg q)
+            i2 = None
         if i2 is None:
-            raise ValueError(f"{q.element!r} is not an element of B{q.degree}")
+            raise ValueError(f"{q.element!r} is not an element of B{deg2}")
         t = self._product(entry, entry.left.position(p.element), i2)
         return KPath(p.vertex, entry.target.elements[t], entry.degree)
 

@@ -1,12 +1,14 @@
 import io
+import math
+from array import array
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from crystalgraphs import (Convention, Crystal, CrystalContext, KGraph, Weight,
                            WeylGroup, builtin_datum, canonical_isomorphism,
                            tensor_component)
-from crystalgraphs.crystal import _acting_factor, _tensor_rule
 from crystalgraphs.rightends import apply_plan, braid_plan
 
 
@@ -93,11 +95,72 @@ def ref_phi_eps(factors, conv, elem, i):
     return phi, eps
 
 
+def _tensor_rule(factors, conv, i) -> tuple:
+    """The scan of the signature rule for f_i on a tensor product: the
+    (place, epsilon_i array, phi_i array) of each factor, in reading order.
+
+    Hong-kang reads the factors left to right, opposite reads them right to
+    left.  `_acting_factor` runs the rule on the positions of one element.
+    """
+    places = range(len(factors))
+    if conv is not Convention.HONG_KANG:
+        places = reversed(places)
+    return tuple((k, *factors[k]._string_arrays(i)) for k in places)
+
+
+def _acting_factor(scan, pos) -> int:
+    """The place of the factor that f_i lowers, or -1 when f_i gives 0.
+
+    This is the signature rule (Bump-Schilling, *Crystal Bases*, 2017): the
+    factor at position p contributes epsilon_i(p) signs - followed by phi_i(p)
+    signs +, and each - cancels the nearest uncancelled + before it in
+    reading order.  Lowering acts on the factor of the first uncancelled +.
+    One pass keeps `acc`, the number of uncancelled signs + so far, and `at`,
+    the place the operator would act on.  `pos` holds one position per factor.
+    """
+    acc = 0
+    at = -1
+    for k, eps, phi in scan:
+        p = pos[k]
+        e = eps[p]
+        if e >= acc:
+            acc = phi[p]
+            at = k if acc else -1
+        else:
+            acc += phi[p] - e
+    return at
+
+
+def ref_tensor(factors, conv) -> Crystal:
+    """The full tensor product of any number r >= 1 of factors by the
+    r-factor scan (`_acting_factor`), element ids in the order of
+    `itertools.product`: the oracle for `tensor`, which runs the two-factor
+    rule of `_lowering_search` and takes exactly two factors."""
+    factors = tuple(factors)
+    datum = factors[0].datum
+    size = math.prod(map(len, factors))
+    # the position of an element is its mixed-radix number over the factors
+    strides = [math.prod(len(c) for c in factors[k + 1:])
+               for k in range(len(factors))]
+    lowering = {}
+    for i in datum.indices:
+        scan = _tensor_rule(factors, conv, i)
+        maps = [c._f[i] for c in factors]
+        fmap = lowering[i] = array("i", [-1]) * size
+        for code, pos in enumerate(product(*(range(len(c)) for c in factors))):
+            at = _acting_factor(scan, pos)
+            if at >= 0:
+                fmap[code] = code + (maps[at][pos[at]] - pos[at]) * strides[at]
+    name = "ref(" + " x ".join(c.name for c in factors) + ")"
+    return Crystal(datum, product(*(c.elements for c in factors)), None,
+                   lowering, name=name, factors=factors)
+
+
 def rule_lower(factors, conv, elem, i):
-    """f_i on a tensor element by the signature-rule primitive on positions,
-    the one that `tensor` runs over all r factors; None encodes 0.
-    `tensor_component` applies the two-factor rule inline and shares no code
-    with it, so the component tests compare two independent routes."""
+    """f_i on a tensor element by the r-factor scan on positions, the one
+    that `ref_tensor` runs; None encodes 0.  `tensor`, `tensor_component` and
+    the product tables run the two-factor rule of `_lowering_search` and
+    share no code with it, so the tests compare two independent routes."""
     pos = tuple(c.index[b] for c, b in zip(factors, elem))
     at = _acting_factor(_tensor_rule(factors, conv, i), pos)
     if at < 0:

@@ -124,6 +124,15 @@ PINNED_OUTPUTS = [
                   "--convention", "opposite", "--format", "json"),
                  "d45e1fd2dd53383c72a536d426b8079c9a2754ddca908cdce22a4e0cef28a43f",
                  id="braiding-C2-1,2-opposite"),
+    pytest.param(("verify", "--suite", "lemmas"),
+                 "518fde00cd5c63ac60146effc036941eb13afc764d69f775ba318af0ad7df5ba",
+                 id="verify-lemmas"),
+    pytest.param(("verify", "--suite", "a2-fixtures"),
+                 "8f0172041875741817bd8f882f82ba1212fa35b9c8e18a9a55c5195cc8f1f189",
+                 id="verify-a2-fixtures"),
+    pytest.param(("verify", "--suite", "c2-fixtures"),
+                 "6d9975ed703f36be62c6f2a74e64853592603ab8f678cbb48139d3d56f69d5ef",
+                 id="verify-c2-fixtures"),
 ]
 
 

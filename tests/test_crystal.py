@@ -14,8 +14,8 @@ from crystalgraphs import (Convention, Crystal, CrystalContext, Weight, WeylGrou
                            tensor_component, trivial_crystal, weyl_action)
 
 from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_component,
-                      ref_phi_eps, ref_tensor_component, rule_lower,
-                      walk_epsilon, walk_phi)
+                      ref_phi_eps, ref_tensor, ref_tensor_component,
+                      rule_lower, walk_epsilon, walk_phi)
 
 
 ORACLE_CONTEXTS = {(name, conv): CrystalContext(builtin_datum(name), conv)
@@ -90,8 +90,8 @@ def test_highest_weight_elements_match_epsilon_walk(name, convention):
     ctx = CrystalContext(builtin_datum(name), convention)
     funds = [ctx.fundamental(i) for i in ctx.datum.indices]
     crystals = [*funds, ctx.rho_crystal()]
-    for n in (2, 3):
-        crystals += [tensor(fs, convention) for fs in product(funds, repeat=n)]
+    crystals += [tensor(fs, convention) for fs in product(funds, repeat=2)]
+    crystals += [ref_tensor(fs, convention) for fs in product(funds, repeat=3)]
     for crystal in crystals:
         assert crystal.highest_weight_elements() == _hw_by_epsilon(crystal)
 
@@ -129,11 +129,12 @@ def test_c2_fundamental_chains(c2):
 
 
 def test_opposite_is_reversed_hong_kang(a2, c2):
-    # applying the opposite rule equals reversing, applying hong-kang, reversing
+    # applying the opposite rule equals reversing, applying hong-kang (by the
+    # r-factor scan), reversing
     for ctx in (a2, c2):
         f1, f2 = ctx.fundamental(1), ctx.fundamental(2)
         fwd = tensor((f1, f2), Convention.OPPOSITE)
-        rev = tensor((f2, f1), Convention.HONG_KANG)
+        rev = ref_tensor((f2, f1), Convention.HONG_KANG)
         for (x, y) in fwd.elements:
             for i in ctx.datum.indices:
                 for lower in (True, False):
@@ -156,6 +157,37 @@ def test_crystal_validation_catches_bad_weights():
     with pytest.raises(ValueError):
         Crystal(datum, ["x", "y"], {"x": Weight((1,)), "y": Weight((1,))},
                 {1: {"x": "y"}})
+
+
+# the two-factor products of `tensor` against the r-factor scan: every pair of
+# fundamentals, and of B(rho) where it is small enough, under both conventions
+TENSOR_ORACLE_RHO = {"A1": True, "A2": True, "A3": True, "A4": False, "C2": True}
+
+
+@pytest.mark.parametrize("name", TENSOR_ORACLE_RHO)
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+def test_tensor_matches_r_factor_scan(name, convention):
+    ctx = CrystalContext(builtin_datum(name), convention)
+    crystals = [ctx.fundamental(i) for i in ctx.datum.indices]
+    if TENSOR_ORACLE_RHO[name]:
+        crystals.append(ctx.rho_crystal())
+    for pair in product(crystals, repeat=2):
+        got, want = tensor(pair, convention), ref_tensor(pair, convention)
+        assert got.elements == want.elements, pair
+        for i in ctx.datum.indices:
+            assert got._f[i] == want._f[i], (pair, i)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_tensor_takes_exactly_two_factors(a2, monkeypatch, count):
+    import crystalgraphs.crystal
+
+    def search(*args, **kwargs):
+        raise AssertionError("built a product")
+
+    monkeypatch.setattr(crystalgraphs.crystal, "_lowering_search", search)
+    with pytest.raises(ValueError, match=f"tensor takes two factors, got {count}"):
+        tensor((a2.fundamental(1),) * count)
 
 
 def test_tensor_rule_opposite_c2(c2_opp):
@@ -198,13 +230,14 @@ def test_tensor_phi_eps_closed_form_matches_walk(a2, c2_opp):
 
 def test_signature_rule_matches_reference_fold():
     # every element and index of every product of at most 3 fundamentals,
-    # against the recursive two-factor fold: lowering through the rule,
-    # raising through the product's inverted lowering maps
+    # against the recursive two-factor fold: lowering through the scan,
+    # raising through the product's inverted lowering maps (`tensor` for
+    # two factors, the scan's `ref_tensor` otherwise)
     for (name, conv), ctx in ORACLE_CONTEXTS.items():
         for length in (1, 2, 3):
             for funds in product(ctx.datum.indices, repeat=length):
                 factors = tuple(ctx.fundamental(i) for i in funds)
-                P = tensor(factors, conv)
+                P = (tensor if length == 2 else ref_tensor)(factors, conv)
                 for i in ctx.datum.indices:
                     for elem in product(*(c.elements for c in factors)):
                         assert (rule_lower(factors, conv, elem, i)
@@ -298,10 +331,10 @@ def test_extremal_memo_matches_word_replay(name, convention, long_first):
 def test_cartan_component_sizes(a2, c2_opp):
     factors = (a2.fundamental(1), a2.fundamental(2))
     assert len(tensor_component(factors, a2.convention)) == 8
-    assert len(ref_component(tensor(factors, a2.convention))) == 8
+    assert len(ref_component(ref_tensor(factors, a2.convention))) == 8
     assert len(c2_opp.rho_crystal()) == 16
     B = a2.fundamental(1)
-    assert ref_component(tensor((B,), a2.convention)) == tuple(
+    assert ref_component(ref_tensor((B,), a2.convention)) == tuple(
         (b,) for b in B.elements)
     assert set(tensor_component((B,), a2.convention).elements) == {
         (b,) for b in B.elements}
@@ -309,7 +342,8 @@ def test_cartan_component_sizes(a2, c2_opp):
 
 def test_tensor_component_matches_full_product_component():
     # lowering alone from the highest weight seed against BFS over both
-    # operators in the full product, for every list of at most 3 factors
+    # operators in the full product by the r-factor scan, for every list of
+    # at most 3 factors
     for name, convention in product(("A2", "A3", "C2"), Convention):
         ctx = CrystalContext(builtin_datum(name), convention)
         indices = ctx.datum.indices
@@ -318,7 +352,7 @@ def test_tensor_component_matches_full_product_component():
                 case = (name, convention.value, funds)
                 factors = [ctx.fundamental(i) for i in funds]
                 lazy = tensor_component(factors, convention)
-                full = tensor(factors, convention)
+                full = ref_tensor(factors, convention)
                 comp = ref_component(full)
                 assert set(lazy.elements) == set(comp), case
                 for i in indices:

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import pytest
@@ -361,9 +362,9 @@ def test_product_table_refuses_a_search_of_the_wrong_size(monkeypatch):
     import crystalgraphs.kgraph
     search = crystalgraphs.kgraph._lowering_search
 
-    def short(first, second):
-        apos, bpos, maps = search(first, second)
-        return apos[:-1], bpos[:-1], maps
+    def short(left, right, conv):
+        lpos, rpos, maps = search(left, right, conv)
+        return lpos[:-1], rpos[:-1], maps
 
     monkeypatch.setattr(crystalgraphs.kgraph, "_lowering_search", short)
     kg = KGraph(CrystalContext(builtin_datum("A2")))
@@ -519,9 +520,20 @@ def test_non_elements_are_not_paths(a2_kg):
                          ids=["list", "list-factor", "set-factor", "list-vertex",
                               "list-in-vertex"])
 def test_unhashable_parts_are_not_paths(a2_kg, v, b):
-    # a list or set is no element and no vertex: is_path says False and
-    # path and source raise ValueError, as for any other non-path
+    # a list or set is no element and no vertex: is_path says False, and
+    # path, source, compose and fiber raise ValueError, as for any other
+    # non-path or non-vertex
     omega1 = (1, 0)
+    p = a2_kg.path(wv(a2_kg, 1), (A1_,), omega1)
+    if v is None:
+        # a q at the source of p, so that compose reaches its element
+        with pytest.raises(ValueError, match=r"is not an element of B\(1, 0\)"):
+            a2_kg.compose(p, KPath(a2_kg.source(p), b, omega1))
+    else:
+        with pytest.raises(ValueError, match="is not a vertex"):
+            a2_kg.fiber(v)
+        with pytest.raises(ValueError, match="not composable"):
+            a2_kg.compose(p, KPath(v, (A1_,), omega1))
     v = wv(a2_kg, 1) if v is None else v
     b = (A1_,) if b is None else b
     assert not a2_kg.is_path(v, b, omega1)
@@ -530,6 +542,21 @@ def test_unhashable_parts_are_not_paths(a2_kg, v, b):
     with pytest.raises(ValueError, match="is not a valid path"):
         a2_kg.source(KPath(v, b, omega1))
     assert a2_kg.is_path(wv(a2_kg, 1), (A1_,), omega1)
+
+
+def test_compose_reads_degrees_and_fiber_names_non_vertices(a2_kg):
+    # a degree given as a list is read through ctx.weight, as `path` reads
+    # it; a degree of the wrong length and a tuple that is no vertex are
+    # refused with a ValueError that names them
+    omega1 = (1, 0)
+    p = a2_kg.path(wv(a2_kg, 1), (A1_,), omega1)
+    q = KPath(a2_kg.source(p), (A1_,), omega1)
+    assert a2_kg.compose(p, q._replace(degree=[1, 0])) == a2_kg.compose(p, q)
+    with pytest.raises(ValueError, match="rank 2 weights have 2 coordinates"):
+        a2_kg.compose(p, q._replace(degree=[1, 0, 0]))
+    not_vertex = ((9,), (9,))
+    with pytest.raises(ValueError, match=re.escape(f"{not_vertex!r} is not a vertex")):
+        a2_kg.fiber(not_vertex)
 
 
 # the tuples of fundamental elements that are not vertices, times every

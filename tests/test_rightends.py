@@ -5,11 +5,11 @@ import pytest
 
 from crystalgraphs import (Convention, CrystalContext, apply_chain, braiding_at,
                            builtin_datum, extremal_element, in_cartan_component,
-                           right_end_chain, right_end_tuple, tensor)
+                           right_end_chain, right_end_tuple)
 from crystalgraphs.rightends import _moves, chain_ends
 
 from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_component,
-                      ref_right_end_inclusion)
+                      ref_right_end_inclusion, ref_tensor)
 
 
 def test_single_factor_chain(a2):
@@ -45,7 +45,7 @@ def test_cached_chains_match_step_by_step():
                              ("C2", Convention.OPPOSITE)):
         ctx = CrystalContext(builtin_datum(name), convention)
         funds = (2, 1, 2)
-        P = tensor([ctx.fundamental(i) for i in funds], convention)
+        P = ref_tensor([ctx.fundamental(i) for i in funds], convention)
         for elem in P.elements:
             moved = [_chain_step_by_step(ctx, funds, elem, k) for k in (1, 2, 3)]
             for k in (1, 2, 3):
@@ -136,7 +136,7 @@ def test_chain_ends_equal_right_end_chains():
         for convention in Convention:
             ctx = CrystalContext(builtin_datum(name), convention)
             funds = ctx.rho_indices
-            P = tensor([ctx.fundamental(i) for i in funds], convention)
+            P = ref_tensor([ctx.fundamental(i) for i in funds], convention)
             zeros = 0
             for elem in P.elements:
                 ends = tuple(right_end_chain(ctx, funds, elem, k)
@@ -155,7 +155,7 @@ def test_right_end_inclusion_examples(a2):
     # highest weight goes to highest weight
     assert ref_right_end_inclusion(a2, rho, hw, omega2) == (B1_,)
     # R_1(a_3 (x) b_1) = a_2
-    P = tensor((a2.fundamental(1), a2.fundamental(2)), a2.convention)
+    P = ref_tensor((a2.fundamental(1), a2.fundamental(2)), a2.convention)
     assert ref_right_end_inclusion(a2, P, (A3_, B1_), omega1) == (A2_,)
     # outside the Cartan component the value is 0
     assert ref_right_end_inclusion(a2, P, (A1_, B3_), omega1) is None
@@ -181,13 +181,13 @@ def test_membership_chain_equals_component():
             ctx = CrystalContext(builtin_datum(name), convention)
             rho_funds = tuple(ctx.datum.indices)
             for funds in ((1, 2), (2, 1), (1, 1, 2), rho_funds):
-                P = tensor([ctx.fundamental(i) for i in funds], convention)
+                P = ref_tensor([ctx.fundamental(i) for i in funds], convention)
                 comp = set(ref_component(P))
                 for elem in P.elements:
                     assert (in_cartan_component(ctx, funds, elem)
                             == (elem in comp)), (name, convention, elem)
             # right_end_tuple takes membership from the chains of its ends
-            P = tensor([ctx.fundamental(i) for i in rho_funds], convention)
+            P = ref_tensor([ctx.fundamental(i) for i in rho_funds], convention)
             for elem in P.elements:
                 if not in_cartan_component(ctx, rho_funds, elem):
                     with pytest.raises(ValueError,

@@ -3,9 +3,10 @@ import pytest
 from crystalgraphs import (CrystalContext, SkewTableau, Tableau, braid_columns,
                            braiding_at, builtin_datum, enumerate_ssyt,
                            from_crystal, is_key, left_key,
-                           right_ends_via_slides, right_key, tensor)
+                           right_ends_via_slides, right_key)
 
-from conftest import A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, rule_lower
+from conftest import (A1_, A2_, A3_, B1_, B2_, B3_, ref_apply, ref_tensor,
+                      rule_lower)
 
 
 def to_crystal(tab):
@@ -94,7 +95,7 @@ def test_column_reading_matches_column_crystal(a2, a3):
         for k in ctx.datum.indices:
             column_crystal = ctx.fundamental(k)
             factors = (box,) * k
-            P = tensor(factors, ctx.convention)
+            P = ref_tensor(factors, ctx.convention)
             for col in column_crystal.elements:
                 word = column_reading(SkewTableau.from_columns([col]))
                 flat = tuple(w[0] for w in word)
